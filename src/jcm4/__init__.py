@@ -19,9 +19,10 @@ from .dynamics import (
     ModelParams,
     RabiMode,
     atom_density,
+    atom_density_series,
     evolve,
     field_rank2,
-    rabi_frequency,
+    rabi_frequencies,
 )
 from .errors import JcmError
 from .fock import FieldState, TailReport, coherent_state, fidelity, kerr_state, overlap
@@ -35,7 +36,6 @@ from .observables import (
     pnd_closed_near_quarter,
     pnd_closed_quarter,
     q_grid,
-    q_point,
 )
 
 __version__ = "0.1.0"
@@ -44,9 +44,10 @@ __all__ = [
     "AtomDensity", "CatState", "ComponentReport", "DipOffset", "DipScan",
     "FieldRank2", "FieldState", "JcmError", "JointState", "ModelParams",
     "PhaseGrid", "Pnd", "RabiMode", "TailReport",
-    "atom_density", "atomic_inversion", "coherent_state", "count_components",
-    "dip_offset", "entropy", "entropy_dip_scan", "evolve", "expected_cat_state",
+    "atom_density", "atom_density_series", "atomic_inversion", "coherent_state",
+    "count_components", "dip_offset", "entropy", "entropy_dip_scan", "evolve",
+    "expected_cat_state",
     "expected_kerr_state", "fidelity", "field_rank2", "kerr_state", "overlap",
     "pnd", "pnd_closed_eighth", "pnd_closed_near_quarter", "pnd_closed_quarter",
-    "post_selected_field", "q_grid", "q_point", "rabi_frequency",
+    "post_selected_field", "q_grid", "rabi_frequencies",
 ]

@@ -17,9 +17,9 @@ from typing import Literal
 import numpy as np
 from scipy import ndimage
 
-from .dynamics import JointState, ModelParams, atom_density, evolve
+from .dynamics import JointState, ModelParams, atom_density_series, evolve
 from .errors import EmptyGrid, EvenR, NegligibleBranch
-from .fock import DEFAULT_TAIL_TOL, FieldState, kerr_state, overlap
+from .fock import DEFAULT_TAIL_TOL, FieldState, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
@@ -160,14 +160,9 @@ def entropy_dip_scan(
     if steps < 3:
         raise ValueError("steps must be >= 3")
     taus = np.linspace(center - halfwidth, center + halfwidth, steps)
-    entropies = np.array(
-        [entropy(atom_density(evolve(params, float(t)))) for t in taus]
-    )
-    minima = tuple(
-        i for i in range(1, steps - 1)
-        if entropies[i] < entropies[i - 1] and entropies[i] < entropies[i + 1]
-    )
-    return DipScan(taus=taus, entropies=entropies, minima=minima)
+    s = entropy(atom_density_series(params, taus))
+    minima = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
+    return DipScan(taus=taus, entropies=s, minima=tuple(int(i) for i in minima))
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,6 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
 def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     """Fidelity of the downshifted ground branch at tau = pi/2 with the
     predicted Kerr state |-alpha, pi> (1 up to rounding in quadratic mode)."""
-    from .fock import fidelity
-
     state = evolve(params, math.pi / 2.0)
     field = post_selected_field(state, "g", downshift=True)
     target = expected_kerr_state(params.alpha, field.cutoff, params.tail_tol)
@@ -221,8 +214,6 @@ def cat_match(params: ModelParams, offset: DipOffset) -> dict:
     the branch structure away from the ideal equal-weight cat and therefore
     degrades as |r| grows.
     """
-    from .fock import fidelity
-
     state = evolve(params, math.pi / 4.0 + offset.delta)
     field = post_selected_field(state, "g", downshift=True)
     cat = expected_cat_state(params.alpha, offset, field.cutoff, params.tail_tol)

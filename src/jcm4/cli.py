@@ -59,6 +59,8 @@ def parse_tau(expr: str) -> float:
         else:
             coef = Fraction(m.group("coef") or "1")
             den = Fraction(m.group("den") or "1")
+            if den == 0:
+                raise ParseError(f"zero denominator in tau term: {piece!r} in {expr!r}")
             pi_part += sign * coef / den
     return math.pi * pi_part.numerator / pi_part.denominator + real_part
 
@@ -164,6 +166,17 @@ def cmd_pnd(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _tau_range(args, default_steps: int) -> np.ndarray:
+    """--steps times from --tau-min (default 0) to --tau-max (default pi)."""
+    tau_min = parse_tau(args.tau_min) if args.tau_min else 0.0
+    tau_max = parse_tau(args.tau_max) if args.tau_max else math.pi
+    steps = args.steps if args.steps is not None else default_steps
+    if steps < 2:
+        raise JcmError("steps must be >= 2")
+    with np.errstate(invalid="ignore", over="ignore"):  # the kernel rejects inf/nan
+        return np.linspace(tau_min, tau_max, steps)
+
+
 def cmd_entropy(cfg: RunConfig, args) -> int:
     params = cfg.params()
     outdir = cfg.outdir()
@@ -187,16 +200,8 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
         print(path)
         print(sidecar)
         return 0
-    tau_min = parse_tau(args.tau_min) if args.tau_min else 0.0
-    tau_max = parse_tau(args.tau_max) if args.tau_max else math.pi
-    steps = args.steps if args.steps is not None else 801
-    if steps < 2:
-        raise JcmError("steps must be >= 2")
-    taus = np.linspace(tau_min, tau_max, steps)
-    values = [
-        observables.entropy(dynamics.atom_density(dynamics.evolve(params, float(t))))
-        for t in taus
-    ]
+    taus = _tau_range(args, 801)
+    values = observables.entropy(dynamics.atom_density_series(params, taus))
     path = outdir / "entropy.csv"
     _write_csv(path, "tau,entropy", zip(taus, values))
     print(path)
@@ -226,11 +231,8 @@ def cmd_qfunc(cfg: RunConfig, args) -> int:
     report = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
     path = outdir / f"qfunc_{label}.csv"
-    rows = (
-        (grid.res[i], grid.ims[j], grid.values[i, j])
-        for i in range(grid.nx)
-        for j in range(grid.ny)
-    )
+    ims = grid.ims
+    rows = ((x, y, q) for x, row in zip(grid.res, grid.values) for y, q in zip(ims, row))
     _write_csv(path, "re,im,q", rows)
     sidecar = outdir / f"qfunc_{label}.json"
     _write_json(sidecar, {
@@ -251,15 +253,10 @@ def cmd_qfunc(cfg: RunConfig, args) -> int:
 def cmd_inversion(cfg: RunConfig, args) -> int:
     params = cfg.params()
     outdir = cfg.outdir()
-    tau_min = parse_tau(args.tau_min) if args.tau_min else 0.0
-    tau_max = parse_tau(args.tau_max) if args.tau_max else math.pi
-    steps = args.steps if args.steps is not None else 2001
-    if steps < 2:
-        raise JcmError("steps must be >= 2")
-    taus = np.linspace(tau_min, tau_max, steps)
-    values = [observables.atomic_inversion(params, float(t)) for t in taus]
+    taus = _tau_range(args, 2001)
+    rho = dynamics.atom_density_series(params, taus)
     path = outdir / "inversion.csv"
-    _write_csv(path, "tau,w", zip(taus, values))
+    _write_csv(path, "tau,w", zip(taus, rho.rho22 - rho.rho11))
     print(path)
     return 0
 
@@ -276,7 +273,7 @@ def cmd_catcheck(cfg: RunConfig, args) -> int:
     rho_quarter = dynamics.atom_density(dynamics.evolve(params, math.pi / 4.0))
     rho_dip = dynamics.atom_density(dynamics.evolve(params, tau_dip))
     phase = cfg.alpha_phase
-    rho12_target = -0.5 * complex(math.cos(4 * phase), math.sin(4 * phase))
+    rho12_target = -0.5 * complex(math.cos(4 * phase), -math.sin(4 * phase))
 
     payload = {
         "nbar": cfg.nbar,

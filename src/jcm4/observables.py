@@ -8,7 +8,6 @@ population inversion.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "pnd_closed_eighth",
     "pnd_closed_near_quarter",
     "entropy",
-    "q_point",
     "q_grid",
     "atomic_inversion",
 ]
@@ -150,43 +148,21 @@ def pnd_closed_near_quarter(moduli_sq: np.ndarray, delta: float) -> Pnd:
     return Pnd(probabilities=probs, tau=tau)
 
 
-def entropy(rho: AtomDensity) -> float:
+def entropy(rho: AtomDensity) -> float | np.ndarray:
     """von Neumann entropy -sum p ln p of the 2x2 matrix, in [0, ln 2].
 
+    Elementwise: a float for one density matrix, an array for a series.
     The eigenvalues are divided by the trace, so the last-bit rounding of a
     normalized state's norm cancels and a pure state gives exactly 0.  They
     are clamped to [0, 1] before the logarithm to absorb 1e-15-scale
     negatives; 0 ln 0 is 0.  A non-finite entry raises
     :class:`NonFiniteValue` instead of reading as a pure state.
     """
-    if not (math.isfinite(rho.rho11) and math.isfinite(rho.rho22)
-            and cmath.isfinite(rho.rho12)):
+    if not all(np.all(np.isfinite(x)) for x in (rho.rho11, rho.rho22, rho.rho12)):
         raise NonFiniteValue(f"non-finite atomic density matrix: {rho}")
-    trace = rho.rho11 + rho.rho22
-    s = 0.0
-    for lam in rho.eigenvalues():
-        p = min(max(lam / trace, 0.0), 1.0)
-        if p > 0.0:
-            s -= p * math.log(p)
-    return min(max(s, 0.0), LN2)
-
-
-def q_point(field: FieldRank2, beta: complex) -> float:
-    """Husimi Q(beta) = <beta| rho_F |beta> / pi for the rank-2 field.
-
-    Each dyad contributes |sum_n conj(beta)^n amp_n / sqrt(n!)|^2, evaluated
-    by the recurrence term[n+1] = term[n] conj(beta)/sqrt(n+1) seeded with
-    e^{-|beta|^2/2}; stable for |beta|^2 up to ~700.
-    """
-    term = math.exp(-abs(beta) ** 2 / 2.0)
-    bc = complex(np.conj(beta))
-    su = 0.0 + 0.0j
-    sv = 0.0 + 0.0j
-    for n in range(len(field.u)):
-        su += term * field.u[n]
-        sv += term * field.v[n]
-        term *= bc / math.sqrt(n + 1)
-    return (abs(su) ** 2 + abs(sv) ** 2) / math.pi
+    p = np.clip(np.array(rho.eigenvalues()) / (rho.rho11 + rho.rho22), 0.0, 1.0)
+    s = np.clip(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0), 0.0, LN2)
+    return float(s) if s.ndim == 0 else s
 
 
 def q_grid(

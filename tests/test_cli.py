@@ -40,7 +40,8 @@ class TestParseTau:
         assert got == math.pi * frac.numerator / frac.denominator
 
     @pytest.mark.parametrize(
-        "expr", ["", "pie", "pi/", "pi//4", "2x", "pi/4+", "++pi", "pi/0x3"]
+        "expr", ["", "pie", "pi/", "pi//4", "2x", "pi/4+", "++pi", "pi/0x3",
+                 "pi/0", "pi/4+3pi/0.0"]
     )
     def test_malformed(self, expr):
         with pytest.raises(ParseError):
@@ -193,23 +194,27 @@ class TestInversionCommand:
 
 class TestCatcheckCommand:
     def test_dossier_fields(self, tmp_path):
-        rc = main([
-            "catcheck", "--nbar", "50", "--cutoff", "256",
-            "--out", str(tmp_path), "--r", "1",
-        ])
-        assert rc == 0
-        data = json.loads((tmp_path / "catcheck_r1.json").read_text())
-        assert data["schema_version"] == 1
-        assert data["r"] == 1
-        assert data["kerr_fidelity_half_period"] > 1.0 - 1e-8
-        assert data["cat_fidelity"] >= 0.98
-        assert data["cat_nominal_fidelity"] >= 0.98
-        assert abs(data["entropy_quarter"] - 0.6931) < 0.01
-        assert data["entropy_dip"] < data["entropy_quarter"]
-        assert data["rho12_target_deviation"] < 0.05
-        re12, im12 = data["rho12_dip"]
-        assert abs(re12 + 0.5) < 0.05
-        assert abs(im12) < 0.01
+        # the coherence turns with the field phase as e^{-4i phase}
+        for phase in (0.0, 0.3):
+            out = tmp_path / str(phase)
+            rc = main([
+                "catcheck", "--nbar", "50", "--cutoff", "256",
+                "--alpha-phase", str(phase), "--out", str(out), "--r", "1",
+            ])
+            assert rc == 0
+            data = json.loads((out / "catcheck_r1.json").read_text())
+            assert data["schema_version"] == 1
+            assert data["r"] == 1
+            assert data["kerr_fidelity_half_period"] > 1.0 - 1e-8
+            assert data["cat_fidelity"] >= 0.98
+            assert data["cat_nominal_fidelity"] >= 0.98
+            assert abs(data["entropy_quarter"] - 0.6931) < 0.01
+            assert data["entropy_dip"] < data["entropy_quarter"]
+            assert data["rho12_target_deviation"] < 0.05
+            rho12 = complex(*data["rho12_dip"]) * complex(math.cos(4 * phase),
+                                                          math.sin(4 * phase))
+            assert abs(rho12.real + 0.5) < 0.05
+            assert abs(rho12.imag) < 0.01
 
     def test_even_r_rejected(self, tmp_path):
         rc = main(["catcheck", *FAST, "--out", str(tmp_path), "--r", "2"])
@@ -254,6 +259,18 @@ class TestErrorPaths:
     def test_malformed_tau_exit_code(self, tmp_path):
         rc = main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "pie"])
         assert rc == 2
+
+    def test_zero_denominator_exit_code(self, tmp_path, capsys):
+        rc = main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "pi/0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_tau_range_exit_code(self, tmp_path, capsys):
+        rc = main(["inversion", *FAST, "--out", str(tmp_path),
+                   "--tau-max", "1e999", "--steps", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "inversion.csv").exists()
 
     def test_tail_too_heavy_exit_code(self, tmp_path):
         rc = main(["pnd", "--nbar", "50", "--cutoff", "60",

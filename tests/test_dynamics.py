@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -8,19 +9,25 @@ from jcm4.dynamics import (
     ModelParams,
     RabiMode,
     atom_density,
+    atom_density_series,
     evolve,
     field_rank2,
     rabi_frequencies,
-    rabi_frequency,
 )
 from jcm4.errors import QuadraticRequiresK4
 from jcm4.fock import coherent_state, fidelity, FieldState
+from jcm4.observables import atomic_inversion
 
 ALPHA50 = math.sqrt(50.0)
 
 
 def params50(mode=RabiMode.QUADRATIC):
     return ModelParams(k=4, alpha=ALPHA50, cutoff=256, mode=mode)
+
+
+def rabi_frequency(n, k, mode):
+    """Frequency of the n-photon sector, read off the vector."""
+    return rabi_frequencies(n, k, mode)[n]
 
 
 class TestRabiFrequency:
@@ -45,15 +52,13 @@ class TestRabiFrequency:
 
     def test_frequency_gap_identity(self):
         # quadratic gap is 4(2n+1), exactly, for every n >= 4
+        freqs = rabi_frequencies(300, 4, RabiMode.QUADRATIC)
         for n in range(4, 300):
-            gap = rabi_frequency(n, 4, RabiMode.QUADRATIC) - rabi_frequency(
-                n - 4, 4, RabiMode.QUADRATIC
-            )
-            assert gap == 4 * (2 * n + 1)
+            assert freqs[n] - freqs[n - 4] == 4 * (2 * n + 1)
 
     def test_quadratic_requires_k4(self):
         with pytest.raises(QuadraticRequiresK4):
-            rabi_frequency(3, 2, RabiMode.QUADRATIC)
+            rabi_frequencies(3, 2, RabiMode.QUADRATIC)
         with pytest.raises(QuadraticRequiresK4):
             ModelParams(k=2, alpha=1.0, cutoff=32, mode=RabiMode.QUADRATIC)
 
@@ -67,10 +72,12 @@ class TestRabiFrequency:
         assert len(ns) == len(diff)
 
     def test_vector_matches_scalar(self):
-        for mode in RabiMode:
-            vec = rabi_frequencies(20, 4, mode)
-            for n in range(21):
-                assert vec[n] == rabi_frequency(n, 4, mode)
+        # scalar formulas: sqrt((n+1)...(n+4)) and n^2 + 5n + 5
+        exact = rabi_frequencies(20, 4, RabiMode.EXACT)
+        quad = rabi_frequencies(20, 4, RabiMode.QUADRATIC)
+        for n in range(21):
+            assert exact[n] == math.sqrt(math.prod(range(n + 1, n + 5)))
+            assert quad[n] == n * n + 5 * n + 5
 
 
 class TestEvolve:
@@ -189,3 +196,61 @@ class TestReductions:
         gram_eigs = np.sort(np.linalg.eigvalsh(gram))
         atom_eigs = np.sort(atom_density(state).eigenvalues())
         assert np.max(np.abs(gram_eigs - atom_eigs)) < 1e-10
+
+
+DIP_WINDOW = {50.0: 256, 5000.0: 5470}
+
+
+def dip_window_taus(nbar, steps=1201):
+    delta1 = math.pi / (16.0 * nbar)
+    return np.linspace(math.pi / 4 - 6 * delta1, math.pi / 4 + 6 * delta1, steps)
+
+
+class TestAtomDensitySeries:
+    @pytest.mark.parametrize("nbar", sorted(DIP_WINDOW))
+    def test_matches_per_tau_reference(self, nbar):
+        params = ModelParams(k=4, alpha=math.sqrt(nbar), cutoff=DIP_WINDOW[nbar])
+        taus = dip_window_taus(nbar)
+        series = atom_density_series(params, taus)
+        for i, tau in enumerate(taus):
+            ref = atom_density(evolve(params, float(tau)))
+            assert abs(series.rho11[i] - ref.rho11) < 1e-15
+            assert abs(series.rho22[i] - ref.rho22) < 1e-15
+            assert abs(series.rho12[i] - ref.rho12) < 1e-15
+
+    def test_inversion_matches_direct_sum(self):
+        params = params50()
+        taus = dip_window_taus(50.0)
+        series = atom_density_series(params, taus)
+        for i, tau in enumerate(taus):
+            w = series.rho22[i] - series.rho11[i]
+            assert abs(w - atomic_inversion(params, float(tau))) < 1e-15
+
+    def test_single_time(self):
+        params = ModelParams(k=4, alpha=2.0 + 1.0j, cutoff=40, mode=RabiMode.EXACT)
+        series = atom_density_series(params, [0.83])
+        ref = atom_density(evolve(params, 0.83))
+        assert series.rho11.shape == (1,)
+        assert abs(series.rho11[0] - ref.rho11) < 1e-15
+        assert abs(series.rho22[0] - ref.rho22) < 1e-15
+        assert abs(series.rho12[0] - ref.rho12) < 1e-15
+
+    def test_chunking_does_not_change_values(self, monkeypatch):
+        import jcm4.dynamics as dynamics
+
+        params = ModelParams(k=4, alpha=cmath.rect(ALPHA50, 0.3), cutoff=256)
+        taus = np.linspace(0.0, 2.0, 1201)
+        whole = atom_density_series(params, taus)
+        modulus = np.abs(coherent_state(params.alpha, 256)[0].amplitudes)
+        support = int(np.count_nonzero(modulus > dynamics._SUPPORT_FLOOR * modulus.max()))
+        # 7 taus per block: 171 full blocks and a last one of 4
+        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 7 * support + 3)
+        blocked = atom_density_series(params, taus)
+        for name in ("rho11", "rho22", "rho12"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+    def test_rejects_non_finite_tau(self):
+        with pytest.raises(ValueError):
+            atom_density_series(params50(), [0.0, math.inf, 1.0])
+        with pytest.raises(ValueError):
+            atom_density_series(params50(), [math.nan])
