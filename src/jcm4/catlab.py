@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import ndimage
 
 from .dynamics import JointState, ModelParams, atom_density_series, evolve
 from .errors import EmptyGrid, EvenR, NegligibleBranch
@@ -174,6 +173,34 @@ class ComponentReport:
     component_masses: tuple[float, ...]
 
 
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask, numbered 1.. in the raster
+    order of their first cell (0 marks the background), by a flood fill over
+    the flat indices of the cells set."""
+    nx = mask.shape[1]
+    cells = np.flatnonzero(mask).tolist()
+    unvisited = set(cells)
+    labels = np.zeros(mask.size, dtype=np.intp)
+    count = 0
+    for seed in cells:
+        if seed not in unvisited:
+            continue
+        unvisited.remove(seed)
+        count += 1
+        component, stack = [], [seed]
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            col = i % nx
+            # a left or right step off the row's end is no neighbour
+            for j in (i - nx, i + nx, i - 1 if col else -1, i + 1 if col + 1 < nx else -1):
+                if j in unvisited:
+                    unvisited.remove(j)
+                    stack.append(j)
+        labels[component] = count
+    return labels.reshape(mask.shape), count
+
+
 def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentReport:
     """Count 4-connected components of cells above threshold_fraction * max Q.
 
@@ -184,15 +211,13 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
     peak = float(grid.values.max(initial=0.0))
     if grid.values.size == 0 or peak <= 0.0:
         raise EmptyGrid("grid has no positive Q values")
-    mask = grid.values > threshold_fraction * peak
-    labels, count = ndimage.label(mask)  # default structure is 4-connected
-    masses = ndimage.sum_labels(grid.values, labels, index=range(1, count + 1))
-    masses = tuple(sorted((float(m) * grid.cell_area for m in np.atleast_1d(masses)),
-                          reverse=True))
+    labels, count = _label(grid.values > threshold_fraction * peak)
+    masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:]
     return ComponentReport(
-        count=int(count),
+        count=count,
         threshold_fraction=threshold_fraction,
-        component_masses=masses,
+        component_masses=tuple(sorted((float(m) * grid.cell_area for m in masses),
+                                      reverse=True)),
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadraticRequiresK4
-from .fock import DEFAULT_TAIL_TOL, coherent_state
+from .fock import DEFAULT_TAIL_TOL, _check_tail, coherent_state
 
 __all__ = [
     "RabiMode",
@@ -71,7 +71,9 @@ class ModelParams:
     """k-photon model configuration: multiplicity, coherent amplitude, truncation.
 
     Resonance (atomic splitting = k times the cavity frequency) is assumed
-    throughout, so there is no detuning field.
+    throughout, so there is no detuning field.  The tail check runs at
+    ``cutoff - k``: each de-excitation shifts the ground branch up by k
+    photons, so the amplitudes above it leave the stored ground array.
     """
 
     k: int
@@ -87,6 +89,7 @@ class ModelParams:
             raise ValueError("cutoff must be >= k")
         if self.mode is RabiMode.QUADRATIC and self.k != 4:
             raise QuadraticRequiresK4("quadratic mode requires k = 4")
+        _check_tail(self.alpha, self.cutoff - self.k, self.tail_tol)
 
     @property
     def nbar(self) -> float:

@@ -225,3 +225,74 @@ class TestComponentCounting:
         )
         with pytest.raises(EmptyGrid):
             count_components(grid, 0.1)
+
+
+def reference_components(mask):
+    """Cell lists of the 4-connected components, by breadth-first search."""
+    rows, cols = mask.shape
+    seen = np.zeros_like(mask, dtype=bool)
+    components = []
+    for r0 in range(rows):
+        for c0 in range(cols):
+            if not mask[r0, c0] or seen[r0, c0]:
+                continue
+            seen[r0, c0] = True
+            queue, cells = [(r0, c0)], []
+            while queue:
+                r, c = queue.pop(0)
+                cells.append((r, c))
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rr < rows and 0 <= cc < cols and mask[rr, cc] and not seen[rr, cc]:
+                        seen[rr, cc] = True
+                        queue.append((rr, cc))
+            components.append(sorted(cells))
+    return components
+
+
+def masked_grid(mask, seed):
+    # weights in [0.5, 1] clear the 0.1 threshold on every masked cell
+    weights = np.random.default_rng(seed).uniform(0.5, 1.0, mask.shape)
+    rows, cols = mask.shape
+    values = np.where(mask, weights, 0.0)
+    return PhaseGrid(re_min=0.0, re_max=float(rows), im_min=0.0, im_max=float(cols),
+                     nx=rows, ny=cols, values=values)
+
+
+def mask_from(picture):
+    return np.array([[ch == "#" for ch in line] for line in picture])
+
+
+LABELLER_SHAPES = {
+    "u_joined_at_bottom": (["#.#", "#.#", "###"], 1),
+    "diagonal_touch": (["#.", ".#"], 2),
+    "row_end_to_next_row_start": (["..#", "#..", "..#", "#.."], 4),
+    "every_edge": (["#.#.#", ".....", "#...#", ".....", "#.#.#"], 8),
+    "runs_in_one_row": (["##.#.##", "......."], 3),
+    "runs_in_one_column": (["#.", "#.", "..", "#."], 2),
+}
+
+
+class TestLabeller:
+    @staticmethod
+    def check(mask, seed):
+        grid = masked_grid(mask, seed)
+        report = count_components(grid, 0.1)
+        # summed in flat-index order, as the labeller's mass sums are
+        expected = sorted((sum(grid.values[cell] for cell in cells) * grid.cell_area
+                           for cells in reference_components(mask)), reverse=True)
+        assert report.count == len(expected)
+        assert list(report.component_masses) == expected
+        return report.count
+
+    @pytest.mark.parametrize("name", sorted(LABELLER_SHAPES))
+    def test_shape(self, name):
+        picture, count = LABELLER_SHAPES[name]
+        assert self.check(mask_from(picture), seed=len(name)) == count
+
+    def test_random_masks(self):
+        rng = np.random.default_rng(2001)
+        for trial in range(200):
+            shape = (int(rng.integers(2, 25)), int(rng.integers(2, 25)))
+            mask = rng.random(shape) < rng.uniform(0.2, 0.8)
+            if mask.any():
+                self.check(mask, seed=trial)

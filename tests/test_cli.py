@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jcm4
 from jcm4.cli import main, parse_tau, tau_label
 from jcm4.errors import ParseError
 
@@ -277,7 +282,25 @@ class TestErrorPaths:
                    "--out", str(tmp_path), "--tau", "0"])
         assert rc == 2
 
+    @pytest.mark.parametrize("tail_tol", ["nan", "inf"])
+    def test_non_finite_tail_tol_exit_code(self, tmp_path, tail_tol):
+        # at cutoff 60 the discarded mass is 7.2e-2
+        rc = main(["pnd", "--nbar", "50", "--cutoff", "60", "--tail-tol", tail_tol,
+                   "--out", str(tmp_path), "--tau", "0"])
+        assert rc == 2
+        assert not (tmp_path / "pnd_0.csv").exists()
+
     def test_non_finite_nbar_exit_code(self, tmp_path):
         rc = main(["pnd", "--nbar", "nan", "--out", str(tmp_path), "--tau", "0"])
         assert rc == 2
         assert not (tmp_path / "pnd_0.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports count
+    env = dict(os.environ, PYTHONPATH=str(Path(jcm4.__file__).parents[1]))
+    code = ("import sys, jcm4.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -14,7 +14,7 @@ from jcm4.dynamics import (
     field_rank2,
     rabi_frequencies,
 )
-from jcm4.errors import QuadraticRequiresK4
+from jcm4.errors import QuadraticRequiresK4, TailTooHeavy
 from jcm4.fock import coherent_state, fidelity, FieldState
 from jcm4.observables import atomic_inversion
 
@@ -126,6 +126,13 @@ class TestEvolve:
         assert np.all(np.isfinite(state.excited))
         assert np.all(np.isfinite(state.ground))
         assert abs(state.norm_squared() - 1.0) < 1e-10
+
+    def test_tail_checked_below_ground_shift(self):
+        # the Poisson(50) tail is 1.24e-7 above 90 but 1.35e-6 above 86 = 90 - k,
+        # where the ground branch's amplitudes leave the stored array
+        ModelParams(k=4, alpha=ALPHA50, cutoff=94, tail_tol=1e-6)
+        with pytest.raises(TailTooHeavy):
+            ModelParams(k=4, alpha=ALPHA50, cutoff=90, tail_tol=1e-6)
 
     def test_rejects_non_finite_tau(self):
         with pytest.raises(ValueError):

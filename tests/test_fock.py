@@ -7,6 +7,7 @@ import pytest
 from jcm4.errors import (
     CutoffMismatch,
     JcmError,
+    NonFiniteValue,
     NonPositiveTolerance,
     TailTooHeavy,
 )
@@ -35,13 +36,19 @@ def test_normalization():
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
 
 
-def test_tail_mass_against_high_precision_sum():
-    # independent oracle: Poisson(50) upper tail summed at 50 digits
-    _, report = coherent_state(ALPHA50, 256)
+@pytest.mark.parametrize("nbar,cutoff", [
+    (50.0, 256), (50.0, 60), (50.0, 100), (1450.0, 1700), (5000.0, 5470),
+    (2e5, 202772), (50.0, 30), (5000.0, 4000), (0.09, 0), (0.09, 5),
+])
+def test_tail_mass_against_high_precision_sum(nbar, cutoff):
+    # independent oracle: Poisson upper tail P(X > cutoff) as the regularized
+    # lower incomplete gamma function at 50 digits, for the same double alpha
+    alpha = math.sqrt(nbar)
+    _, report = coherent_state(alpha, cutoff, tail_tol=1.0)
     with mp.workdps(50):
-        tail = mp.gammainc(257, 0, 50, regularized=True)
-    assert report.tail_mass < 1e-12
-    assert abs(report.tail_mass - float(tail)) < 1e-25
+        a = mp.mpf(alpha)
+        tail = float(mp.gammainc(cutoff + 1, 0, a * a, regularized=True))
+    assert abs(report.tail_mass / tail - 1.0) <= 1e-9
 
 
 def test_tail_too_heavy():
@@ -52,6 +59,13 @@ def test_tail_too_heavy():
 def test_non_positive_tolerance():
     with pytest.raises(NonPositiveTolerance):
         coherent_state(1.0, 40, tail_tol=0.0)
+
+
+@pytest.mark.parametrize("tail_tol", [math.nan, math.inf])
+def test_non_finite_tolerance(tail_tol):
+    # the cutoff leaves 7.2e-2 of the mass above it; no tolerance may pass that
+    with pytest.raises(NonFiniteValue):
+        coherent_state(ALPHA50, 60, tail_tol=tail_tol)
 
 
 def test_kerr_zero_gamma_is_coherent():
