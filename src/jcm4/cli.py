@@ -118,9 +118,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -212,6 +212,8 @@ def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
     if spec is None:
         return (-12.0, 12.0, -12.0, 12.0)
     parts = [float(p) for p in spec.split(",")]
+    if not all(math.isfinite(p) for p in parts):
+        raise ParseError(f"window parts must be finite, got {spec!r}")
     if len(parts) == 1:
         half = abs(parts[0])
         return (-half, half, -half, half)

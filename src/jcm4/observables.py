@@ -64,6 +64,7 @@ class PhaseGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        _check_window(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx, self.ny):
             raise ValueError("values must have shape (nx, ny)")
@@ -87,6 +88,15 @@ class PhaseGrid:
     def riemann_sum(self) -> float:
         """Integral of Q over the window, midpoint-style cell sum."""
         return float(self.values.sum() * self.cell_area)
+
+
+def _check_window(re_min, re_max, im_min, im_max, nx, ny) -> None:
+    """Raise :class:`DegenerateWindow` unless the bounds are ordered (NaN is
+    not) and each axis has at least the two points ``cell_area`` divides by."""
+    if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
+        raise DegenerateWindow(
+            f"window ({re_min},{re_max})x({im_min},{im_max}) at {nx}x{ny}"
+        )
 
 
 def pnd(state: JointState) -> Pnd:
@@ -172,23 +182,28 @@ def q_grid(
     ny: int,
 ) -> PhaseGrid:
     """Q evaluated on an nx-by-ny rectangular grid over ``window`` =
-    (re_min, re_max, im_min, im_max).  Vectorized over the grid points."""
+    (re_min, re_max, im_min, im_max).  Vectorized over the grid points.
+
+    A window too wide for doubles (its width or |beta|^2 overflows) gives
+    non-finite Q, which raises :class:`NonFiniteValue`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
-    if nx < 2 or ny < 2 or re_min >= re_max or im_min >= im_max:
-        raise DegenerateWindow(
-            f"window ({re_min},{re_max})x({im_min},{im_max}) at {nx}x{ny}"
+    _check_window(re_min, re_max, im_min, im_max, nx, ny)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
+        xs = np.linspace(re_min, re_max, nx)
+        ys = np.linspace(im_min, im_max, ny)
+        bc = (xs[:, None] - 1j * ys[None, :]).ravel()  # conj(beta), row-major in re
+        term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
+        su = np.zeros_like(term)
+        sv = np.zeros_like(term)
+        for n in range(len(field.u)):
+            su += term * field.u[n]
+            sv += term * field.v[n]
+            term *= bc / math.sqrt(n + 1)
+        q = ((np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi).reshape(nx, ny)
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteValue(
+            f"non-finite Q on window ({re_min},{re_max})x({im_min},{im_max})"
         )
-    xs = np.linspace(re_min, re_max, nx)
-    ys = np.linspace(im_min, im_max, ny)
-    bc = (xs[:, None] - 1j * ys[None, :]).ravel()  # conj(beta), row-major in re
-    term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
-    su = np.zeros_like(term)
-    sv = np.zeros_like(term)
-    for n in range(len(field.u)):
-        su += term * field.u[n]
-        sv += term * field.v[n]
-        term *= bc / math.sqrt(n + 1)
-    q = ((np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi).reshape(nx, ny)
     return PhaseGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=q,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import jcm4
-from jcm4.cli import main, parse_tau, tau_label
+from jcm4.cli import _write_json, main, parse_tau, tau_label
 from jcm4.errors import ParseError
 
 # small, fast configuration shared by the subcommand tests
@@ -181,6 +181,19 @@ class TestQfuncCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("window", ["nan", "inf", "1e308", "-1,nan,-1,1"])
+    def test_non_finite_window(self, tmp_path, capsys, window):
+        # a window of 1e308 is finite, but its width overflows
+        rc = main([
+            "qfunc", *FAST, "--out", str(tmp_path),
+            "--tau", "0", f"--window={window}", "--resolution", "11",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestInversionCommand:
     def test_endpoints(self, tmp_path):
@@ -294,6 +307,13 @@ class TestErrorPaths:
         rc = main(["pnd", "--nbar", "nan", "--out", str(tmp_path), "--tau", "0"])
         assert rc == 2
         assert not (tmp_path / "pnd_0.csv").exists()
+
+
+def test_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"riemann_sum": math.nan})
+    assert not path.exists()
 
 
 def test_import_loads_no_scipy():

@@ -11,9 +11,10 @@ from jcm4.dynamics import (
     evolve,
     field_rank2,
 )
-from jcm4.errors import DegenerateWindow, JcmError
+from jcm4.errors import DegenerateWindow, JcmError, NonFiniteValue
 from jcm4.fock import coherent_amplitudes, coherent_state
 from jcm4.observables import (
+    PhaseGrid,
     atomic_inversion,
     entropy,
     pnd,
@@ -214,6 +215,22 @@ class TestQFunction:
             q_grid(field, (3.0, 3.0, -1.0, 1.0), 10, 10)
         with pytest.raises(DegenerateWindow):
             q_grid(field, (-1.0, 1.0, -1.0, 1.0), 1, 10)
+        with pytest.raises(DegenerateWindow):
+            q_grid(field, (math.nan, 1.0, -1.0, 1.0), 10, 10)
+
+    def test_phase_grid_shares_the_window_check(self):
+        # cell_area divides by nx - 1 and ny - 1
+        with pytest.raises(DegenerateWindow):
+            PhaseGrid(-1.0, 1.0, -1.0, 1.0, nx=1, ny=3, values=np.ones((1, 3)))
+        with pytest.raises(DegenerateWindow):
+            PhaseGrid(-1.0, 1.0, 1.0, 1.0, nx=3, ny=3, values=np.ones((3, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_q_rejected(self, params):
+        # the window's width and |beta|^2 overflow in doubles
+        field = field_rank2(evolve(params, 0.0))
+        with pytest.raises(NonFiniteValue):
+            q_grid(field, (-1e308, 1e308, -1e308, 1e308), 11, 11)
 
 
 class TestInversion:
