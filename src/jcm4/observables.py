@@ -163,7 +163,7 @@ def entropy(rho: AtomDensity) -> float | np.ndarray:
 
     Elementwise: a float for one density matrix, an array for a series.
     The eigenvalues are divided by the trace, so the last-bit rounding of a
-    normalized state's norm cancels and a pure state gives exactly 0.  They
+    normalized state's norm cancels and a pure state gives exactly +0.  They
     are clamped to [0, 1] before the logarithm to absorb 1e-15-scale
     negatives; 0 ln 0 is 0.  A non-finite entry raises
     :class:`NonFiniteValue` instead of reading as a pure state.
@@ -171,7 +171,9 @@ def entropy(rho: AtomDensity) -> float | np.ndarray:
     if not all(np.all(np.isfinite(x)) for x in (rho.rho11, rho.rho22, rho.rho12)):
         raise NonFiniteValue(f"non-finite atomic density matrix: {rho}")
     p = np.clip(np.array(rho.eigenvalues()) / (rho.rho11 + rho.rho22), 0.0, 1.0)
-    s = np.clip(-(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0), 0.0, LN2)
+    # 0 - sum rather than -sum: a pure state's sum is +0, whose negation
+    # would be written as "-0"
+    s = np.clip(0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0), 0.0, LN2)
     return float(s) if s.ndim == 0 else s
 
 

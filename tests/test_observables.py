@@ -124,7 +124,11 @@ class TestClosedForms:
 
 class TestEntropy:
     def test_pure_state(self):
-        assert entropy(AtomDensity(rho11=1.0, rho22=0.0, rho12=0.0)) == 0.0
+        s = entropy(AtomDensity(rho11=1.0, rho22=0.0, rho12=0.0))
+        assert s == 0.0 and math.copysign(1, s) == 1
+        series = entropy(AtomDensity(rho11=np.zeros(2), rho22=np.ones(2),
+                                     rho12=np.zeros(2, dtype=complex)))
+        assert np.array_equal(np.copysign(1, series), [1, 1])
 
     def test_maximally_mixed(self):
         s = entropy(AtomDensity(rho11=0.5, rho22=0.5, rho12=0.0))
