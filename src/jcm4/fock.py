@@ -60,19 +60,6 @@ class FieldState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def to_json(self) -> dict:
-        """Serialize as {"cutoff": N, "re": [...], "im": [...]}."""
-        return {
-            "cutoff": self.cutoff,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldState":
-        amps = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
-        return cls(amplitudes=amps, cutoff=int(data["cutoff"]))
-
 
 @dataclass(frozen=True)
 class TailReport:

@@ -158,13 +158,6 @@ def test_fidelity_coherent_vs_kerr_high_precision_oracle():
     assert abs(got - expected) < 1e-10
 
 
-def test_json_round_trip():
-    state = kerr_state(1 + 1j, 0.3, 48)
-    back = FieldState.from_json(state.to_json())
-    assert back.cutoff == 48
-    assert np.max(np.abs(back.amplitudes - state.amplitudes)) == 0.0
-
-
 @pytest.mark.parametrize("nbar,cutoff", [(1450.0, 1720), (5000.0, 5470)])
 def test_large_nbar_against_high_precision_oracle(nbar, cutoff):
     # the amplitudes at |n - nbar| <= 5 sqrt(nbar), evaluated at 30 digits
