@@ -133,20 +133,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise JcmError(f"unknown config keys: {sorted(unknown)}")
         cfg = replace(cfg, **known)
-    overrides = {
-        name: value
-        for name, value in (
-            ("nbar", args.nbar),
-            ("alpha_phase", args.alpha_phase),
-            ("k", args.k),
-            ("cutoff", args.cutoff),
-            ("mode", args.mode),
-            ("output_dir", args.out),
-            ("tail_tol", args.tail_tol),
-        )
-        if value is not None
-    }
-    return replace(cfg, **overrides)
+    # every RunConfig field is a common flag of the same dest
+    flags = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def cmd_pnd(cfg: RunConfig, args) -> int:
@@ -315,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Rabi-frequency mode (default quadratic)")
         p.add_argument("--tail-tol", type=float, dest="tail_tol",
                        help="max truncated probability mass (default 1e-9)")
-        p.add_argument("--out", help="output directory (default .)")
+        p.add_argument("--out", dest="output_dir", help="output directory (default .)")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
 
     p = sub.add_parser("pnd", help="photon number distribution at given times")
