@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadraticRequiresK4
-from .fock import DEFAULT_TAIL_TOL, _check_tail, coherent_state
+from .fock import DEFAULT_TAIL_TOL, _check_tail, _normalized_amplitudes
 
 __all__ = [
     "RabiMode",
@@ -74,6 +74,10 @@ class ModelParams:
     throughout, so there is no detuning field.  The tail check runs at
     ``cutoff - k``: each de-excitation shifts the ground branch up by k
     photons, so the amplitudes above it leave the stored ground array.
+
+    It also builds, once, the read-only arrays every kernel reads: the
+    normalized coherent amplitudes C_n (``amplitudes``) and the Rabi
+    frequencies W_n (``frequencies``), n = 0..cutoff.  Neither is compared.
     """
 
     k: int
@@ -81,15 +85,21 @@ class ModelParams:
     cutoff: int
     mode: RabiMode = RabiMode.QUADRATIC
     tail_tol: float = DEFAULT_TAIL_TOL
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    frequencies: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.cutoff < self.k:
             raise ValueError("cutoff must be >= k")
-        if self.mode is RabiMode.QUADRATIC and self.k != 4:
-            raise QuadraticRequiresK4("quadratic mode requires k = 4")
         _check_tail(self.alpha, self.cutoff - self.k, self.tail_tol)
+        for name, arr in (
+            ("amplitudes", _normalized_amplitudes(self.alpha, self.cutoff)),
+            ("frequencies", rabi_frequencies(self.cutoff, self.k, self.mode)),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def nbar(self) -> float:
@@ -191,9 +201,7 @@ def evolve(params: ModelParams, tau: float) -> JointState:
     """Joint state at scaled time tau from the closed-form solution."""
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
-    coh, _ = coherent_state(params.alpha, params.cutoff, params.tail_tol)
-    c = coh.amplitudes
-    freqs = rabi_frequencies(params.cutoff, params.k, params.mode)
+    c, freqs = params.amplitudes, params.frequencies
     excited = c * np.cos(freqs * tau)
     ground = np.zeros(params.cutoff + 1, dtype=complex)
     k = params.k
@@ -221,18 +229,18 @@ def atom_density_series(params: ModelParams, taus) -> AtomDensity:
     rho22 = sum |C_n|^2 cos^2(W_n tau), rho11 = sum |C_n|^2 sin^2(W_n tau) over
     n + k <= cutoff, rho12 = -sum C_n conj(C_{n+k}) sin(W_n tau) cos(W_{n+k} tau).
 
-    Amplitudes and frequencies are built once, over the n with |C_n| above
-    ``_SUPPORT_FLOOR`` of the peak.  The cos/sin matrices are formed for blocks
+    The sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the
+    peak.  The cos/sin matrices are formed for blocks
     of taus of at most ``_CHUNK_ENTRIES`` entries, and each sum runs along one
     row (numpy's pairwise sum), so no value depends on the blocking."""
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau must be finite")
     k = params.k
-    c = coherent_state(params.alpha, params.cutoff, params.tail_tol)[0].amplitudes
+    c = params.amplitudes
     support = np.flatnonzero(np.abs(c) > _SUPPORT_FLOOR * np.abs(c).max())
     lo, hi = support[0], support[-1] + 1
-    freqs = rabi_frequencies(params.cutoff, k, params.mode)[lo:hi]
+    freqs = params.frequencies[lo:hi]
     c = c[lo:hi]
     excited_w = np.abs(c) ** 2
     ground_w = np.where(np.arange(lo, hi) + k <= params.cutoff, excited_w, 0.0)

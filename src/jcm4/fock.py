@@ -93,6 +93,13 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return moduli * np.cumprod(phases)
 
 
+def _normalized_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """Coherent amplitudes renormalized over 0..cutoff (no tail check)."""
+    amps = coherent_amplitudes(alpha, cutoff)
+    amps /= np.linalg.norm(amps)
+    return amps
+
+
 def _check_tail(alpha: complex, cutoff: int, tail_tol: float) -> TailReport:
     """Poisson(|alpha|^2) mass above ``cutoff``, checked against ``tail_tol``.
 
@@ -142,9 +149,7 @@ def coherent_state(
     mask configuration errors.
     """
     report = _check_tail(alpha, cutoff, tail_tol)
-    amps = coherent_amplitudes(alpha, cutoff)
-    amps /= np.linalg.norm(amps)
-    return FieldState(amplitudes=amps, cutoff=cutoff), report
+    return FieldState(amplitudes=_normalized_amplitudes(alpha, cutoff), cutoff=cutoff), report
 
 
 def kerr_state(

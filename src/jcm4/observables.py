@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams, rabi_frequencies
+from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams
 from .errors import DegenerateWindow, NonFiniteValue
-from .fock import coherent_state
 
 __all__ = [
     "Pnd",
@@ -94,9 +93,7 @@ def _check_window(re_min, re_max, im_min, im_max, nx, ny) -> None:
     """Raise :class:`DegenerateWindow` unless the bounds are ordered (NaN is
     not) and each axis has at least the two points ``cell_area`` divides by."""
     if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
-        raise DegenerateWindow(
-            f"window ({re_min},{re_max})x({im_min},{im_max}) at {nx}x{ny}"
-        )
+        raise DegenerateWindow(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
 
 
 def pnd(state: JointState) -> Pnd:
@@ -171,8 +168,7 @@ def entropy(rho: AtomDensity) -> float | np.ndarray:
     if not all(np.all(np.isfinite(x)) for x in (rho.rho11, rho.rho22, rho.rho12)):
         raise NonFiniteValue(f"non-finite atomic density matrix: {rho}")
     p = np.clip(np.array(rho.eigenvalues()) / (rho.rho11 + rho.rho22), 0.0, 1.0)
-    # 0 - sum rather than -sum: a pure state's sum is +0, whose negation
-    # would be written as "-0"
+    # 0 - sum, not -sum: a pure state's +0 sum must not become "-0"
     s = np.clip(0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0), 0.0, LN2)
     return float(s) if s.ndim == 0 else s
 
@@ -184,10 +180,8 @@ def q_grid(
     ny: int,
 ) -> PhaseGrid:
     """Q evaluated on an nx-by-ny rectangular grid over ``window`` =
-    (re_min, re_max, im_min, im_max).  Vectorized over the grid points.
-
-    A window too wide for doubles (its width or |beta|^2 overflows) gives
-    non-finite Q, which raises :class:`NonFiniteValue`."""
+    (re_min, re_max, im_min, im_max).  Vectorized over the grid points; a
+    window too wide for doubles gives non-finite Q and :class:`NonFiniteValue`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
     _check_window(re_min, re_max, im_min, im_max, nx, ny)
     with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
@@ -203,9 +197,7 @@ def q_grid(
             term *= bc / math.sqrt(n + 1)
         q = ((np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi).reshape(nx, ny)
     if not np.all(np.isfinite(q)):
-        raise NonFiniteValue(
-            f"non-finite Q on window ({re_min},{re_max})x({im_min},{im_max})"
-        )
+        raise NonFiniteValue(f"non-finite Q on window {window} at {nx}x{ny}")
     return PhaseGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=q,
@@ -218,7 +210,5 @@ def atomic_inversion(params: ModelParams, tau: float) -> float:
     Equals rho22 - rho11 of the evolved state; this direct sum is the
     independent second route.
     """
-    coh, _ = coherent_state(params.alpha, params.cutoff, params.tail_tol)
-    weights = np.abs(coh.amplitudes) ** 2
-    freqs = rabi_frequencies(params.cutoff, params.k, params.mode)
-    return float(np.sum(weights * np.cos(2.0 * freqs * tau)))
+    weights = np.abs(params.amplitudes) ** 2
+    return float(np.sum(weights * np.cos(2.0 * params.frequencies * tau)))

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from jcm4 import dynamics, fock
 from jcm4.dynamics import (
     ModelParams,
     RabiMode,
@@ -78,6 +79,39 @@ class TestRabiFrequency:
         for n in range(21):
             assert exact[n] == math.sqrt(math.prod(range(n + 1, n + 5)))
             assert quad[n] == n * n + 5 * n + 5
+
+
+class TestModelParams:
+    def test_arrays_built_once_for_every_kernel(self, monkeypatch):
+        calls = {"amplitudes": 0, "frequencies": 0, "tail": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fock, "coherent_amplitudes",
+                            counting("amplitudes", fock.coherent_amplitudes))
+        monkeypatch.setattr(dynamics, "rabi_frequencies",
+                            counting("frequencies", dynamics.rabi_frequencies))
+        monkeypatch.setattr(dynamics, "_check_tail", counting("tail", dynamics._check_tail))
+        params = params50()
+        for tau in (0.0, math.pi / 4):
+            evolve(params, tau)
+            atomic_inversion(params, tau)
+        atom_density_series(params, np.linspace(0.0, math.pi, 5))
+        assert calls == {"amplitudes": 1, "frequencies": 1, "tail": 1}
+
+    def test_equality_hash_and_read_only_arrays(self):
+        a, b = params50(), params50()
+        assert a == b and hash(a) == hash(b)
+        assert a != params50(RabiMode.EXACT)
+        assert np.array_equal(a.amplitudes, coherent_state(ALPHA50, 256)[0].amplitudes)
+        assert np.array_equal(a.frequencies, rabi_frequencies(256, 4, RabiMode.QUADRATIC))
+        for arr in (a.amplitudes, a.frequencies):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestEvolve:
@@ -243,8 +277,6 @@ class TestAtomDensitySeries:
         assert abs(series.rho12[0] - ref.rho12) < 1e-15
 
     def test_chunking_does_not_change_values(self, monkeypatch):
-        import jcm4.dynamics as dynamics
-
         params = ModelParams(k=4, alpha=cmath.rect(ALPHA50, 0.3), cutoff=256)
         taus = np.linspace(0.0, 2.0, 1201)
         whole = atom_density_series(params, taus)
