@@ -77,7 +77,7 @@ class ModelParams:
 
     It also builds, once, the read-only arrays every kernel reads: the
     normalized coherent amplitudes C_n (``amplitudes``) and the Rabi
-    frequencies W_n (``frequencies``), n = 0..cutoff.  Neither is compared.
+    frequencies W_n (``frequencies``), n = 0..cutoff, not compared or hashed.
     """
 
     k: int
@@ -229,10 +229,10 @@ def atom_density_series(params: ModelParams, taus) -> AtomDensity:
     rho22 = sum |C_n|^2 cos^2(W_n tau), rho11 = sum |C_n|^2 sin^2(W_n tau) over
     n + k <= cutoff, rho12 = -sum C_n conj(C_{n+k}) sin(W_n tau) cos(W_{n+k} tau).
 
-    The sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the
-    peak.  The cos/sin matrices are formed for blocks
-    of taus of at most ``_CHUNK_ENTRIES`` entries, and each sum runs along one
-    row (numpy's pairwise sum), so no value depends on the blocking."""
+    The sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the peak.
+    The cos/sin matrices are formed for blocks of taus of at most
+    ``_CHUNK_ENTRIES`` entries, and each sum runs along one row (numpy's
+    pairwise sum), so no value depends on the blocking."""
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.all(np.isfinite(taus)):
         raise ValueError("tau must be finite")
