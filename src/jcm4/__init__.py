@@ -3,7 +3,6 @@
 from .catlab import (
     CatState,
     ComponentReport,
-    DipOffset,
     DipScan,
     count_components,
     dip_offset,
@@ -28,7 +27,6 @@ from .errors import JcmError
 from .fock import FieldState, TailReport, coherent_state, fidelity, kerr_state, overlap
 from .observables import (
     PhaseGrid,
-    Pnd,
     atomic_inversion,
     entropy,
     pnd,
@@ -41,9 +39,9 @@ from .observables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomDensity", "CatState", "ComponentReport", "DipOffset", "DipScan",
+    "AtomDensity", "CatState", "ComponentReport", "DipScan",
     "FieldRank2", "FieldState", "JcmError", "JointState", "ModelParams",
-    "PhaseGrid", "Pnd", "RabiMode", "TailReport",
+    "PhaseGrid", "RabiMode", "TailReport",
     "atom_density", "atom_density_series", "atomic_inversion", "coherent_state",
     "count_components", "dip_offset", "entropy", "entropy_dip_scan", "evolve",
     "expected_cat_state",

@@ -22,7 +22,6 @@ from .fock import DEFAULT_TAIL_TOL, FieldState, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
-    "DipOffset",
     "ComponentReport",
     "CatState",
     "DipScan",
@@ -35,17 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DipOffset:
-    """Entropy-dip time offset delta_r = r pi / (16 nbar) for odd r."""
-
-    r: int
-    nbar: float
-    delta: float
-
-
-def dip_offset(r: int, nbar: float) -> DipOffset:
-    """Offset from the quarter period at which the entanglement dips.
+def dip_offset(r: int, nbar: float) -> float:
+    """Offset delta_r = r pi / (16 nbar), odd r, from the quarter period at
+    which the entanglement dips.
 
     Leading order in 1/nbar.  Measured in quadratic mode, the true dip
     minima approach r delta_1 (1 - 3.5/nbar), which is 0.93 r delta_1 at
@@ -56,7 +47,7 @@ def dip_offset(r: int, nbar: float) -> DipOffset:
         raise EvenR(f"r must be odd, got {r}")
     if nbar <= 0:
         raise ValueError("nbar must be > 0")
-    return DipOffset(r=r, nbar=nbar, delta=r * math.pi / (16.0 * nbar))
+    return r * math.pi / (16.0 * nbar)
 
 
 def expected_kerr_state(
@@ -84,7 +75,7 @@ class CatState:
 
 def expected_cat_state(
     alpha: complex,
-    offset: DipOffset,
+    delta: float,
     cutoff: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> CatState:
@@ -99,7 +90,7 @@ def expected_cat_state(
     W_n = n(n-1) + 6n + 5 (note the conjugate-symmetric +i6d / -i6d pair of
     branch rotations).
     """
-    d = offset.delta
+    d = delta
     tau = math.pi / 4.0 + d
     branch_plus = kerr_state(-1j * alpha * np.exp(+6j * d), math.pi / 2 + 2 * d,
                              cutoff, tail_tol)
@@ -169,7 +160,6 @@ class ComponentReport:
     """Connected components of a thresholded Q grid."""
 
     count: int
-    threshold_fraction: float
     component_masses: tuple[float, ...]
 
 
@@ -215,7 +205,6 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
     masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:]
     return ComponentReport(
         count=count,
-        threshold_fraction=threshold_fraction,
         component_masses=tuple(sorted((float(m) * grid.cell_area for m in masses),
                                       reverse=True)),
     )
@@ -230,7 +219,7 @@ def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     return fidelity(field, target)
 
 
-def cat_match(params: ModelParams, offset: DipOffset) -> dict:
+def cat_match(params: ModelParams, delta: float) -> dict:
     """Compare the simulated field at tau = pi/4 + delta_r with the cat.
 
     Returns both the plain fidelity against the renormalized cat and the
@@ -239,9 +228,9 @@ def cat_match(params: ModelParams, offset: DipOffset) -> dict:
     the branch structure away from the ideal equal-weight cat and therefore
     degrades as |r| grows.
     """
-    state = evolve(params, math.pi / 4.0 + offset.delta)
+    state = evolve(params, math.pi / 4.0 + delta)
     field = post_selected_field(state, "g", downshift=True)
-    cat = expected_cat_state(params.alpha, offset, field.cutoff, params.tail_tol)
+    cat = expected_cat_state(params.alpha, delta, field.cutoff, params.tail_tol)
     f_normalized = fidelity(field, cat.state)
     f_nominal = min(cat.pre_norm ** 2 * f_normalized, 1.0)
     return {

@@ -148,9 +148,9 @@ def cmd_pnd(cfg: RunConfig, args) -> int:
     outdir = cfg.outdir()
     for spec in specs:
         tau = parse_tau(spec)
-        dist = observables.pnd(dynamics.evolve(params, tau))
+        p = observables.pnd(dynamics.evolve(params, tau))
         path = outdir / f"pnd_{tau_label(spec)}.csv"
-        _write_csv(path, "n,p", ((n, p) for n, p in enumerate(dist.probabilities)))
+        _write_csv(path, "n,p", enumerate(p))
         print(path)
     return 0
 
@@ -170,7 +170,7 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
     params = cfg.params()
     outdir = cfg.outdir()
     if args.dip_window:
-        delta1 = catlab.dip_offset(1, cfg.nbar).delta
+        delta1 = catlab.dip_offset(1, cfg.nbar)
         center, halfwidth = math.pi / 4.0, 6.0 * delta1
         steps = args.steps if args.steps is not None else 1201
         scan = catlab.entropy_dip_scan(params, center, halfwidth, steps)
@@ -232,7 +232,7 @@ def cmd_qfunc(cfg: RunConfig, args) -> int:
         "nx": grid.nx,
         "ny": grid.ny,
         "riemann_sum": grid.riemann_sum(),
-        "threshold_fraction": report.threshold_fraction,
+        "threshold_fraction": args.threshold,
         "component_count": report.count,
         "component_masses": list(report.component_masses),
     })
@@ -255,11 +255,11 @@ def cmd_inversion(cfg: RunConfig, args) -> int:
 def cmd_catcheck(cfg: RunConfig, args) -> int:
     params = cfg.params()
     outdir = cfg.outdir()
-    offset = catlab.dip_offset(args.r, cfg.nbar)
-    tau_dip = math.pi / 4.0 + offset.delta
+    delta = catlab.dip_offset(args.r, cfg.nbar)
+    tau_dip = math.pi / 4.0 + delta
 
     kerr_f = catlab.kerr_fidelity_at_half_period(params)
-    match = catlab.cat_match(params, offset)
+    match = catlab.cat_match(params, delta)
 
     rho_quarter = dynamics.atom_density(dynamics.evolve(params, math.pi / 4.0))
     rho_dip = dynamics.atom_density(dynamics.evolve(params, tau_dip))
@@ -268,8 +268,8 @@ def cmd_catcheck(cfg: RunConfig, args) -> int:
 
     payload = {
         "nbar": cfg.nbar,
-        "r": offset.r,
-        "delta": offset.delta,
+        "r": args.r,
+        "delta": delta,
         "tau_dip": tau_dip,
         "kerr_fidelity_half_period": kerr_f,
         "cat_fidelity": match["fidelity"],

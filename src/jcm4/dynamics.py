@@ -101,14 +101,10 @@ class ModelParams:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def nbar(self) -> float:
-        return abs(self.alpha) ** 2
-
 
 @dataclass(frozen=True)
 class JointState:
-    """Joint atom-field amplitudes at scaled time tau.
+    """Joint atom-field amplitudes at one scaled time.
 
     ``excited[n]`` multiplies |n,e>, ``ground[n]`` multiplies |n,g>; the
     ground vector is zero below index k because each de-excitation deposits
@@ -117,7 +113,6 @@ class JointState:
 
     excited: np.ndarray
     ground: np.ndarray
-    tau: float
     k: int
 
     def __post_init__(self):
@@ -125,10 +120,6 @@ class JointState:
             arr = np.asarray(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.excited) - 1
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.excited, self.excited).real
@@ -154,10 +145,6 @@ class AtomDensity:
     rho22: float | np.ndarray
     rho12: complex | np.ndarray
 
-    @property
-    def rho21(self) -> complex | np.ndarray:
-        return np.conj(self.rho12)
-
     def eigenvalues(self) -> tuple:
         """Eigenvalues (t +/- sqrt((rho22-rho11)^2 + 4|rho12|^2)) / 2 with
         t = rho11 + rho22, which is 1 up to rounding for a normalized state."""
@@ -178,7 +165,6 @@ class FieldRank2:
 
     u: np.ndarray
     v: np.ndarray
-    k: int = field(default=4)
 
     def __post_init__(self):
         for name in ("u", "v"):
@@ -206,12 +192,12 @@ def evolve(params: ModelParams, tau: float) -> JointState:
     ground = np.zeros(params.cutoff + 1, dtype=complex)
     k = params.k
     ground[k:] = -1j * c[:-k] * np.sin(freqs[:-k] * tau)
-    return JointState(excited=excited, ground=ground, tau=tau, k=k)
+    return JointState(excited=excited, ground=ground, k=k)
 
 
 def field_rank2(state: JointState) -> FieldRank2:
     """Reduced field density operator as the two dyads of the joint state."""
-    return FieldRank2(u=state.excited.copy(), v=1j * state.ground, k=state.k)
+    return FieldRank2(u=state.excited.copy(), v=1j * state.ground)
 
 
 def atom_density(state: JointState) -> AtomDensity:

@@ -56,10 +56,6 @@ class FieldState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 @dataclass(frozen=True)
 class TailReport:

@@ -17,7 +17,6 @@ from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams
 from .errors import DegenerateWindow, NonFiniteValue
 
 __all__ = [
-    "Pnd",
     "PhaseGrid",
     "pnd",
     "pnd_closed_quarter",
@@ -29,22 +28,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class Pnd:
-    """Photon number distribution P_n at scaled time tau."""
-
-    probabilities: np.ndarray
-    tau: float
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
-
-    def total(self) -> float:
-        return float(self.probabilities.sum())
 
 
 @dataclass(frozen=True)
@@ -96,20 +79,19 @@ def _check_window(re_min, re_max, im_min, im_max, nx, ny) -> None:
         raise DegenerateWindow(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
 
 
-def pnd(state: JointState) -> Pnd:
-    """P_n = |excited_n|^2 + |ground_n|^2 from the joint state."""
-    p = np.abs(state.excited) ** 2 + np.abs(state.ground) ** 2
-    return Pnd(probabilities=p, tau=state.tau)
+def pnd(state: JointState) -> np.ndarray:
+    """Photon number distribution P_n = |excited_n|^2 + |ground_n|^2."""
+    return np.abs(state.excited) ** 2 + np.abs(state.ground) ** 2
 
 
-def _shifted_pair(moduli_sq: np.ndarray, k: int = 4) -> np.ndarray:
-    """|C_n|^2 + |C_{n-k}|^2 with the second term absent below n = k."""
+def _shifted_pair(moduli_sq: np.ndarray) -> np.ndarray:
+    """|C_n|^2 + |C_{n-4}|^2 with the second term absent below n = 4."""
     out = moduli_sq.astype(float).copy()
-    out[k:] += moduli_sq[:-k]
+    out[4:] += moduli_sq[:-4]
     return out
 
 
-def pnd_closed_quarter(moduli_sq: np.ndarray) -> Pnd:
+def pnd_closed_quarter(moduli_sq: np.ndarray) -> np.ndarray:
     """Quarter-period distribution: the average of the tau=0 and tau=pi/2
     Poissonians, P_n = (|C_n|^2 + |C_{n-4}|^2) / 2.
 
@@ -117,10 +99,10 @@ def pnd_closed_quarter(moduli_sq: np.ndarray) -> Pnd:
     of pi/4, so cos^2 = sin^2 = 1/2 exactly for every n.
     """
     moduli_sq = np.asarray(moduli_sq, dtype=float)
-    return Pnd(probabilities=0.5 * _shifted_pair(moduli_sq), tau=math.pi / 4)
+    return 0.5 * _shifted_pair(moduli_sq)
 
 
-def pnd_closed_eighth(moduli_sq: np.ndarray) -> Pnd:
+def pnd_closed_eighth(moduli_sq: np.ndarray) -> np.ndarray:
     """Eighth-period distribution with block factors by n mod 8:
     (2 - sqrt(2))/4 for residues 0..3 and (2 + sqrt(2))/4 for residues 4..7.
 
@@ -132,10 +114,10 @@ def pnd_closed_eighth(moduli_sq: np.ndarray) -> Pnd:
     low = (2.0 - math.sqrt(2.0)) / 4.0
     high = (2.0 + math.sqrt(2.0)) / 4.0
     factors = np.where(n % 8 < 4, low, high)
-    return Pnd(probabilities=factors * _shifted_pair(moduli_sq), tau=math.pi / 8)
+    return factors * _shifted_pair(moduli_sq)
 
 
-def pnd_closed_near_quarter(moduli_sq: np.ndarray, delta: float) -> Pnd:
+def pnd_closed_near_quarter(moduli_sq: np.ndarray, delta: float) -> np.ndarray:
     """Near-quarter distribution at tau = pi/4 + delta:
     P_n = (|C_n|^2 + |C_{n-4}|^2) sin^2[(n^2 - 3n + 1)(pi/4 + delta)].
 
@@ -149,10 +131,8 @@ def pnd_closed_near_quarter(moduli_sq: np.ndarray, delta: float) -> Pnd:
     phase_int = n * n - 3 * n + 1
     # Split the phase into an exact mod-8 residue times pi/4 plus the small
     # delta part; keeps the trig argument O(n^2 delta) instead of O(n^2).
-    tau = math.pi / 4 + delta
     args = (phase_int % 8) * (math.pi / 4.0) + phase_int * delta
-    probs = _shifted_pair(moduli_sq) * np.sin(args) ** 2
-    return Pnd(probabilities=probs, tau=tau)
+    return _shifted_pair(moduli_sq) * np.sin(args) ** 2
 
 
 def entropy(rho: AtomDensity) -> float | np.ndarray:

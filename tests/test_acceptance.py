@@ -115,8 +115,8 @@ def dip_measures(params, delta1):
 
 
 def near_quarter_error(params, poisson, delta1):
-    sim = pnd(evolve(params, math.pi / 4 + delta1)).probabilities
-    closed = pnd_closed_near_quarter(poisson, delta1).probabilities
+    sim = pnd(evolve(params, math.pi / 4 + delta1))
+    closed = pnd_closed_near_quarter(poisson, delta1)
     return float(np.max(np.abs(sim - closed)))
 
 
@@ -156,14 +156,14 @@ def test_criterion_4_entropy_dips(params, large_params, acceptance):
 
 def test_criterion_5_pnd_closed_forms(params, poisson, acceptance):
     err4 = np.max(np.abs(
-        pnd(evolve(params, math.pi / 4)).probabilities
-        - pnd_closed_quarter(poisson).probabilities
+        pnd(evolve(params, math.pi / 4))
+        - pnd_closed_quarter(poisson)
     ))
     err8 = np.max(np.abs(
-        pnd(evolve(params, math.pi / 8)).probabilities
-        - pnd_closed_eighth(poisson).probabilities
+        pnd(evolve(params, math.pi / 8))
+        - pnd_closed_eighth(poisson)
     ))
-    shifted = pnd(evolve(params, math.pi / 8 - math.pi / 24000)).probabilities
+    shifted = pnd(evolve(params, math.pi / 8 - math.pi / 24000))
     zeros = [shifted[n] for n in (96, 99, 104, 107)]
     ok = err4 < 1e-10 and err8 < 1e-10 and all(z < 1e-4 for z in zeros)
     acceptance(5, ok, f"err(pi/4)={err4:.2e}, err(pi/8)={err8:.2e}, "
@@ -241,7 +241,7 @@ def test_criterion_11_oracle_equivalence(acceptance):
         s_dense = float(-np.sum(eigs[eigs > 0] * np.log(eigs[eigs > 0])))
         worst_s = max(worst_s, abs(s_dense - entropy(atom_density(state))))
         worst_p = max(worst_p, float(np.max(np.abs(
-            np.diag(dense).real - pnd(state).probabilities
+            np.diag(dense).real - pnd(state)
         ))))
     ok = worst_s < 1e-8 and worst_p < 1e-12
     acceptance(11, ok, f"entropy dev={worst_s:.2e}, pnd dev={worst_p:.2e}")

@@ -30,15 +30,15 @@ def params():
 
 class TestDipOffset:
     def test_first_offset(self):
-        off = dip_offset(1, NBAR)
-        assert off.delta == pytest.approx(DELTA1, abs=1e-15)
-        assert abs(off.delta - 0.0039270) < 1e-6
+        delta = dip_offset(1, NBAR)
+        assert delta == pytest.approx(DELTA1, abs=1e-15)
+        assert abs(delta - 0.0039270) < 1e-6
 
     def test_sign_symmetry(self):
-        assert dip_offset(-1, NBAR).delta == -dip_offset(1, NBAR).delta
+        assert dip_offset(-1, NBAR) == -dip_offset(1, NBAR)
 
     def test_linearity(self):
-        assert dip_offset(3, NBAR).delta == pytest.approx(3 * DELTA1, abs=1e-15)
+        assert dip_offset(3, NBAR) == pytest.approx(3 * DELTA1, abs=1e-15)
 
     @pytest.mark.parametrize("r", [0, 2, -4])
     def test_even_rejected(self, r):
@@ -107,12 +107,10 @@ class TestCatState:
         # the cat is written in downshifted indexing; its entry n lines
         # up with field index n + 4.  The residual is the lag-4 Poisson
         # difference |C_n|^2 - |C_{n+4}|^2, about 2e-2 at worst
-        off = dip_offset(1, NBAR)
-        cat = expected_cat_state(ALPHA50, off, 256)
+        delta = dip_offset(1, NBAR)
+        cat = expected_cat_state(ALPHA50, delta, 256)
         coh, _ = coherent_state(ALPHA50, 256)
-        closed = pnd_closed_near_quarter(
-            np.abs(coh.amplitudes) ** 2, off.delta
-        ).probabilities
+        closed = pnd_closed_near_quarter(np.abs(coh.amplitudes) ** 2, delta)
         got = np.abs(cat.state.amplitudes) ** 2
         assert np.max(np.abs(got[:-4] - closed[4:])) < 2.5e-2
 
@@ -122,7 +120,7 @@ class TestCatState:
         n = 50
         gap = 8 * n + 4
         for r in (-5, -3, -1, 1, 3, 5):
-            angle = gap * (math.pi / 4 + dip_offset(r, NBAR).delta)
+            angle = gap * (math.pi / 4 + dip_offset(r, NBAR))
             dev = abs(math.remainder(angle - math.pi / 2, math.pi))
             assert dev <= max(0.02, abs(r) * math.pi / (4 * NBAR) * 1.01)
 

@@ -97,7 +97,7 @@ class TestPndCommand:
         from jcm4.observables import pnd
 
         params = ModelParams(k=4, alpha=2.0, cutoff=32, mode=RabiMode.QUADRATIC)
-        expected = pnd(evolve(params, math.pi / 4)).probabilities
+        expected = pnd(evolve(params, math.pi / 4))
         lines = (tmp_path / "pnd_pi_4.csv").read_text().splitlines()[1:]
         got = np.array([float(line.split(",")[1]) for line in lines])
         assert np.array_equal(got, expected)

@@ -42,22 +42,22 @@ def poisson50():
 class TestPnd:
     def test_initial_poisson(self, params, poisson50):
         dist = pnd(evolve(params, 0.0))
-        assert np.max(np.abs(dist.probabilities - poisson50)) < 1e-14
+        assert np.max(np.abs(dist - poisson50)) < 1e-14
 
     def test_half_period_displaced_by_four(self, params, poisson50):
         dist = pnd(evolve(params, math.pi / 2))
         displaced = np.zeros_like(poisson50)
         displaced[4:] = poisson50[:-4]
-        assert np.max(np.abs(dist.probabilities - displaced)) < 1e-10
+        assert np.max(np.abs(dist - displaced)) < 1e-10
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, math.pi / 4, 1.9])
     def test_sums_to_one(self, params, tau):
-        assert abs(pnd(evolve(params, tau)).total() - 1.0) < 1e-9
+        assert abs(pnd(evolve(params, tau)).sum() - 1.0) < 1e-9
 
     def test_pi_periodicity(self, params):
         for tau in (0.11, 0.62, 1.3):
-            a = pnd(evolve(params, tau)).probabilities
-            b = pnd(evolve(params, tau + math.pi)).probabilities
+            a = pnd(evolve(params, tau))
+            b = pnd(evolve(params, tau + math.pi))
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_entropy_pi_periodicity(self, params):
@@ -69,23 +69,23 @@ class TestPnd:
 
 class TestClosedForms:
     def test_quarter_matches_simulation(self, params, poisson50):
-        sim = pnd(evolve(params, math.pi / 4)).probabilities
-        closed = pnd_closed_quarter(poisson50).probabilities
+        sim = pnd(evolve(params, math.pi / 4))
+        closed = pnd_closed_quarter(poisson50)
         assert np.max(np.abs(sim - closed)) < 1e-10
 
     def test_quarter_is_average_of_endpoints(self, poisson50):
-        closed = pnd_closed_quarter(poisson50).probabilities
+        closed = pnd_closed_quarter(poisson50)
         displaced = np.zeros_like(poisson50)
         displaced[4:] = poisson50[:-4]
         assert np.max(np.abs(closed - 0.5 * (poisson50 + displaced))) < 1e-15
 
     def test_eighth_matches_simulation(self, params, poisson50):
-        sim = pnd(evolve(params, math.pi / 8)).probabilities
-        closed = pnd_closed_eighth(poisson50).probabilities
+        sim = pnd(evolve(params, math.pi / 8))
+        closed = pnd_closed_eighth(poisson50)
         assert np.max(np.abs(sim - closed)) < 1e-10
 
     def test_eighth_block_factors(self, poisson50):
-        closed = pnd_closed_eighth(poisson50).probabilities
+        closed = pnd_closed_eighth(poisson50)
         pair = poisson50.copy()
         pair[4:] += poisson50[:-4]
         low = (2.0 - math.sqrt(2.0)) / 4.0
@@ -97,12 +97,12 @@ class TestClosedForms:
         assert abs(closed[100] - high * pair[100]) < 1e-15  # residue 4
 
     def test_eighth_oscillation_not_perfect(self, poisson50):
-        closed = pnd_closed_eighth(poisson50).probabilities
+        closed = pnd_closed_eighth(poisson50)
         assert np.all(closed[4:200] > 0.0)
 
     def test_near_quarter_delta_zero_reduces_to_quarter(self, poisson50):
-        closed = pnd_closed_near_quarter(poisson50, 0.0).probabilities
-        quarter = pnd_closed_quarter(poisson50).probabilities
+        closed = pnd_closed_near_quarter(poisson50, 0.0)
+        quarter = pnd_closed_quarter(poisson50)
         assert np.max(np.abs(closed - quarter)) < 1e-12
 
     @pytest.mark.parametrize("r,tol", [(1, 8e-3), (-1, 8e-3), (5, 3.5e-2)])
@@ -111,14 +111,14 @@ class TestClosedForms:
         # with an angle error of about 8(n - nbar)|delta|; the measured
         # worst entry is 7.4e-3 at r=+-1 and grows linearly in |r|
         delta = r * math.pi / 800.0
-        sim = pnd(evolve(params, math.pi / 4 + delta)).probabilities
-        closed = pnd_closed_near_quarter(poisson50, delta).probabilities
+        sim = pnd(evolve(params, math.pi / 4 + delta))
+        closed = pnd_closed_near_quarter(poisson50, delta)
         assert np.max(np.abs(sim - closed)) < tol
 
     def test_near_quarter_contrast_weakens_with_r(self, params):
         # r=1 dips close to zero around nbar; r=5 keeps a visible floor
-        p1 = pnd(evolve(params, math.pi / 4 + math.pi / 800)).probabilities
-        p5 = pnd(evolve(params, math.pi / 4 + 5 * math.pi / 800)).probabilities
+        p1 = pnd(evolve(params, math.pi / 4 + math.pi / 800))
+        p5 = pnd(evolve(params, math.pi / 4 + 5 * math.pi / 800))
         assert p1[40:61].min() < 0.2 * p5[40:61].min()
 
 
@@ -263,5 +263,5 @@ class TestDenseMatrixOracle:
             s_field = float(-np.sum(eigs[eigs > 0] * np.log(eigs[eigs > 0])))
             s_atom = entropy(atom_density(state))
             assert abs(s_field - s_atom) < 1e-8
-            sim = pnd(state).probabilities
+            sim = pnd(state)
             assert np.max(np.abs(np.diag(dense).real - sim)) < 1e-12
