@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .dynamics import JointState, ModelParams, atom_density_series, evolve
-from .errors import EmptyGrid, EvenR, NegligibleBranch
+from .errors import EmptyGrid, EvenR, NegligibleBranch, TargetsRequireK4
 from .fock import DEFAULT_TAIL_TOL, FieldState, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
@@ -210,9 +210,15 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
     )
 
 
+def _require_k4(params: ModelParams) -> None:
+    if params.k != 4:
+        raise TargetsRequireK4(f"the Kerr and cat targets are derived for k=4, got k={params.k}")
+
+
 def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     """Fidelity of the downshifted ground branch at tau = pi/2 with the
     predicted Kerr state |-alpha, pi> (1 up to rounding in quadratic mode)."""
+    _require_k4(params)
     state = evolve(params, math.pi / 2.0)
     field = post_selected_field(state, "g", downshift=True)
     target = expected_kerr_state(params.alpha, field.cutoff, params.tail_tol)
@@ -228,6 +234,7 @@ def cat_match(params: ModelParams, delta: float) -> dict:
     the branch structure away from the ideal equal-weight cat and therefore
     degrades as |r| grows.
     """
+    _require_k4(params)
     state = evolve(params, math.pi / 4.0 + delta)
     field = post_selected_field(state, "g", downshift=True)
     cat = expected_cat_state(params.alpha, delta, field.cutoff, params.tail_tol)

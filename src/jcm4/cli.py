@@ -15,7 +15,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,9 +74,16 @@ def tau_label(expr: str) -> str:
     )
 
 
+# the values a RunConfig field of each annotated type accepts (never a bool)
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration (flags > config file > defaults)."""
+    """Resolved run configuration (flags > config file > defaults).
+
+    Every field is checked once here, so a config file of any JSON values
+    ends in a :class:`JcmError` that names the field."""
 
     nbar: float = 50.0
     alpha_phase: float = 0.0
@@ -85,6 +92,17 @@ class RunConfig:
     mode: str = "quadratic"
     output_dir: str = "."
     tail_tol: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise JcmError(f"{f.name} must be of type {f.type}, got {value!r}")
+            # False for NaN, inf and an int too large for a double
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
+                raise JcmError(f"{f.name} must be finite, got {value!r}")
+        if self.nbar < 0:
+            raise JcmError(f"nbar must be >= 0, got {self.nbar!r}")
 
     def params(self) -> ModelParams:
         alpha = math.sqrt(self.nbar) * complex(
@@ -128,6 +146,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise JcmError(f"config file must hold a JSON object, got {type(data).__name__}")
         known = {k: v for k, v in data.items() if k in RunConfig.__dataclass_fields__}
         unknown = set(data) - set(known)
         if unknown:

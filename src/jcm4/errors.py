@@ -38,6 +38,10 @@ class QuadraticRequiresK4(JcmError):
     """The quadratic Rabi-frequency approximation is derived for k=4 only."""
 
 
+class TargetsRequireK4(JcmError):
+    """The Kerr and Kerr-cat target states are derived for k=4 only."""
+
+
 class NegligibleBranch(JcmError):
     """Post-selection on an atomic outcome with vanishing probability."""
 

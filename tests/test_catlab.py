@@ -14,7 +14,7 @@ from jcm4.catlab import (
     post_selected_field,
 )
 from jcm4.dynamics import ModelParams, RabiMode, atom_density, evolve, field_rank2
-from jcm4.errors import EmptyGrid, EvenR, NegligibleBranch
+from jcm4.errors import EmptyGrid, EvenR, NegligibleBranch, TargetsRequireK4
 from jcm4.fock import coherent_state, fidelity, kerr_state
 from jcm4.observables import PhaseGrid, pnd_closed_near_quarter, q_grid
 
@@ -123,6 +123,16 @@ class TestCatState:
             angle = gap * (math.pi / 4 + dip_offset(r, NBAR))
             dev = abs(math.remainder(angle - math.pi / 2, math.pi))
             assert dev <= max(0.02, abs(r) * math.pi / (4 * NBAR) * 1.01)
+
+
+class TestTargetsRequireK4:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_other_k_refused(self, k):
+        params = ModelParams(k=k, alpha=ALPHA50, cutoff=256, mode=RabiMode.EXACT)
+        with pytest.raises(TargetsRequireK4):
+            kerr_fidelity_at_half_period(params)
+        with pytest.raises(TargetsRequireK4):
+            cat_match(params, dip_offset(1, NBAR))
 
 
 class TestAtomicCoherenceAtDips:

@@ -238,6 +238,15 @@ class TestCatcheckCommand:
         rc = main(["catcheck", *FAST, "--out", str(tmp_path), "--r", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_k_other_than_four_rejected(self, tmp_path, capsys, k):
+        # the Kerr and cat targets are derived for the four-photon model
+        rc = main(["catcheck", *FAST, "--k", k, "--mode", "exact",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"k=4, got k={k}" in capsys.readouterr().err
+        assert not (tmp_path / "catcheck_r1.json").exists()
+
 
 class TestConfigResolution:
     def test_config_file_sets_defaults(self, tmp_path):
@@ -266,6 +275,33 @@ class TestConfigResolution:
         rc = main(["pnd", "--config", str(cfg), "--tau", "0",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("config,flags,named", [
+        ({"nbar": "50"}, [], "nbar"),
+        ({"cutoff": 256.5}, [], "cutoff"),
+        ({"k": "4"}, [], "k"),
+        ({"k": True}, [], "k"),
+        ({"tail_tol": None}, [], "tail_tol"),
+        ({"alpha_phase": False}, [], "alpha_phase"),
+        ({"mode": 4}, [], "mode"),
+        ({"output_dir": 1}, [], "output_dir"),
+        ({"nbar": 10 ** 400}, [], "nbar"),
+        ([{"nbar": 4.0}], [], "JSON object"),
+        (None, ["--nbar", "-1"], "nbar"),
+        (None, ["--nbar", "inf"], "nbar"),
+        (None, ["--alpha-phase", "inf"], "alpha_phase"),
+    ])
+    def test_bad_value_refused(self, tmp_path, capsys, config, flags, named):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(cfg)]
+        out = tmp_path / "out"
+        rc = main(["pnd", "--tau", "0", *flags, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["pnd", "--config", str(tmp_path / "nope.json"),
