@@ -173,6 +173,26 @@ class TestEvolve:
             evolve(params50(), math.inf)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_evolve_matches_hamiltonian_oracle(k):
+    # H = [[0, a^k], [(a^k)^dagger, 0]] on the truncated joint space, in the
+    # (excited, ground) block order; a^k is a matrix power of the truncated
+    # annihilation operator, so no Rabi frequency enters the oracle
+    cutoff = 40
+    params = ModelParams(k=k, alpha=1.5 * cmath.exp(0.3j), cutoff=cutoff,
+                         mode=RabiMode.EXACT)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    ak = np.linalg.matrix_power(a, k)
+    zero = np.zeros_like(ak)
+    energies, vectors = np.linalg.eigh(np.block([[zero, ak], [ak.T, zero]]))
+    start = vectors.conj().T @ np.concatenate([params.amplitudes, np.zeros(cutoff + 1)])
+    for tau in (0.0, 0.4, 1.3, 2.2, 4.5, 7.1):
+        want = vectors @ (np.exp(-1j * energies * tau) * start)
+        state = evolve(params, tau)
+        assert np.max(np.abs(state.excited - want[:cutoff + 1])) < 1e-12
+        assert np.max(np.abs(state.ground - want[cutoff + 1:])) < 1e-12
+
+
 class TestReductions:
     def test_atom_density_initial(self):
         rho = atom_density(evolve(params50(), 0.0))
