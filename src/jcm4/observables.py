@@ -29,6 +29,11 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
+# Grid points per block of the Q recurrence: a complex working array is then
+# 64 KiB, below the C allocator's 128 KiB threshold for mapping fresh pages,
+# so the arrays are reused from the heap (as dynamics._CHUNK_ENTRIES).
+_Q_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -160,28 +165,50 @@ def q_grid(
     ny: int,
 ) -> PhaseGrid:
     """Q evaluated on an nx-by-ny rectangular grid over ``window`` =
-    (re_min, re_max, im_min, im_max).  Vectorized over the grid points; a
-    window too wide for doubles gives non-finite Q and :class:`NonFiniteValue`."""
+    (re_min, re_max, im_min, im_max).  Vectorized over the grid points, in
+    blocks of ``_Q_BLOCK``; a window too wide for doubles gives non-finite Q
+    and :class:`NonFiniteValue`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
     _check_window(re_min, re_max, im_min, im_max, nx, ny)
     with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
         xs = np.linspace(re_min, re_max, nx)
         ys = np.linspace(im_min, im_max, ny)
         bc = (xs[:, None] - 1j * ys[None, :]).ravel()  # conj(beta), row-major in re
-        term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
-        su = np.zeros_like(term)
-        sv = np.zeros_like(term)
-        for n in range(len(field.u)):
-            su += term * field.u[n]
-            sv += term * field.v[n]
-            term *= bc / math.sqrt(n + 1)
-        q = ((np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi).reshape(nx, ny)
+        q = np.empty(bc.size)
+        for start in range(0, bc.size, _Q_BLOCK):
+            block = slice(start, start + _Q_BLOCK)
+            q[block] = _q_block(bc[block], field.u, field.v)
+        q = q.reshape(nx, ny)
     if not np.all(np.isfinite(q)):
         raise NonFiniteValue(f"non-finite Q on window {window} at {nx}x{ny}")
     return PhaseGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=q,
     )
+
+
+def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q at the points conj(beta) = ``bc``: (|<beta|u>|^2 + |<beta|v>|^2)/pi,
+    with <beta|n> = e^{-|beta|^2/2} conj(beta)^n / sqrt(n!) by recurrence.
+
+    The working arrays are allocated once and reused.  The step
+    bc / sqrt(n+1) is taken as a multiply of the float view by the
+    reciprocal, which is how numpy divides a complex by a real: the same
+    bits without a complex division.  Each complex product goes to an array
+    that is neither factor: numpy rounds a product written over one of its
+    one-point factors differently, which a one-point last block would show."""
+    term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
+    su = np.zeros_like(term)
+    sv = np.zeros_like(term)
+    tmp = np.empty_like(term)
+    nxt = np.empty_like(term)
+    bc_parts, tmp_parts = bc.view(float), tmp.view(float)  # (re, im) pairs
+    for n in range(len(u)):
+        su += np.multiply(term, u[n], out=tmp)
+        sv += np.multiply(term, v[n], out=tmp)
+        np.multiply(bc_parts, 1.0 / math.sqrt(n + 1), out=tmp_parts)
+        term, nxt = np.multiply(term, tmp, out=nxt), term
+    return (np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi
 
 
 def atomic_inversion(params: ModelParams, tau: float) -> float:

@@ -29,3 +29,6 @@ def test_traced_run_is_correct_and_reports_every_layer(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stderr
     assert set(result["metrics"]) == {m["name"] for m in DECLARED["per_layer"]}
+    if workload == "phase_space":
+        # the work of the Q kernel: 241 x 241 points times 257 Fock levels
+        assert result["metrics"]["observables.q_grid.terms"]["value"] == 241 * 241 * 257

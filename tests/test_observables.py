@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from jcm4 import observables
+from jcm4.cli import parse_tau
 from jcm4.dynamics import (
     AtomDensity,
     ModelParams,
@@ -26,6 +28,8 @@ from jcm4.observables import (
 
 ALPHA50 = math.sqrt(50.0)
 LN2 = math.log(2.0)
+# the times of the benchmark's phase-space workload
+SPECIAL_TIMES = ("0", "pi/8", "pi/4", "pi/2", "pi/4+pi/800")
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +239,43 @@ class TestQFunction:
         field = field_rank2(evolve(params, 0.0))
         with pytest.raises(NonFiniteValue):
             q_grid(field, (-1e308, 1e308, -1e308, 1e308), 11, 11)
+
+
+def q_whole_grid(field, window, nx, ny):
+    """The Q recurrence over the whole flattened grid at once, one fresh
+    temporary per operation: the reference the blocked kernel must equal."""
+    xs = np.linspace(window[0], window[1], nx)
+    ys = np.linspace(window[2], window[3], ny)
+    bc = (xs[:, None] - 1j * ys[None, :]).ravel()
+    term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
+    su = np.zeros_like(term)
+    sv = np.zeros_like(term)
+    for n in range(len(field.u)):
+        su += term * field.u[n]
+        sv += term * field.v[n]
+        term *= bc / math.sqrt(n + 1)
+    return ((np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi).reshape(nx, ny)
+
+
+class TestBlockedQKernel:
+    WINDOW = (-12.0, 12.0, -12.0, 12.0)
+
+    @pytest.mark.parametrize("expr", SPECIAL_TIMES)
+    def test_bitwise_equal_to_whole_grid_recurrence(self, params, expr):
+        # 241^2 = 14 blocks of 4096 points and one of 737
+        field = field_rank2(evolve(params, parse_tau(expr)))
+        got = q_grid(field, self.WINDOW, 241, 241).values
+        assert got.tobytes() == q_whole_grid(field, self.WINDOW, 241, 241).tobytes()
+
+    @pytest.mark.parametrize("expr", SPECIAL_TIMES)
+    def test_block_size_leaves_bits_unchanged(self, params, monkeypatch, expr):
+        # 41^2 = 240 blocks of 7 points and a one-point block, where numpy
+        # rounds an in-place product differently; a 241^2 grid in blocks of
+        # 7 takes about 10 s
+        field = field_rank2(evolve(params, parse_tau(expr)))
+        default = q_grid(field, self.WINDOW, 41, 41).values
+        monkeypatch.setattr(observables, "_Q_BLOCK", 7)
+        assert q_grid(field, self.WINDOW, 41, 41).values.tobytes() == default.tobytes()
 
 
 class TestInversion:
