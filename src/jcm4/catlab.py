@@ -212,7 +212,8 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
 
 def _require_k4(params: ModelParams) -> None:
     if params.k != 4:
-        raise TargetsRequireK4(f"the Kerr and cat targets are derived for k=4, got k={params.k}")
+        raise TargetsRequireK4(
+            f"the Kerr and cat targets and the dip offsets are derived for k=4, got k={params.k}")
 
 
 def kerr_fidelity_at_half_period(params: ModelParams) -> float:

@@ -116,28 +116,35 @@ class RunConfig:
             tail_tol=self.tail_tol,
         )
 
-    def outdir(self) -> Path:
-        path = Path(self.output_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+
+# Rows of a CSV formatted by one % operation.
+_CSV_BLOCK = 4096
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: round-trip exact for doubles."""
-    return format(float(x), ".17g")
+def _create(path: Path):
+    """Open ``path`` for writing, making its directory first: a run refused
+    before its first write leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """One row per index of the equal-length ``columns``, each value as
+    ``%.17g`` of its double (the bytes of ``format(float(v), ".17g")``,
+    round-trip exact), formatted with one % per block of rows."""
+    table = np.column_stack(columns).astype(float)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with _create(path) as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text + "\n")
 
 
@@ -165,12 +172,12 @@ def cmd_pnd(cfg: RunConfig, args) -> int:
     if not specs:
         raise ParseError("at least one --tau is required")
     params = cfg.params()
-    outdir = cfg.outdir()
+    outdir = Path(cfg.output_dir)
     for spec in specs:
         tau = parse_tau(spec)
         p = observables.pnd(dynamics.evolve(params, tau))
         path = outdir / f"pnd_{tau_label(spec)}.csv"
-        _write_csv(path, "n,p", enumerate(p))
+        _write_csv(path, "n,p", np.arange(len(p)), p)
         print(path)
     return 0
 
@@ -188,14 +195,15 @@ def _tau_range(args, default_steps: int) -> np.ndarray:
 
 def cmd_entropy(cfg: RunConfig, args) -> int:
     params = cfg.params()
-    outdir = cfg.outdir()
+    outdir = Path(cfg.output_dir)
     if args.dip_window:
+        catlab._require_k4(params)
         delta1 = catlab.dip_offset(1, cfg.nbar)
         center, halfwidth = math.pi / 4.0, 6.0 * delta1
         steps = args.steps if args.steps is not None else 1201
         scan = catlab.entropy_dip_scan(params, center, halfwidth, steps)
         path = outdir / "entropy_dip.csv"
-        _write_csv(path, "tau,entropy", zip(scan.taus, scan.entropies))
+        _write_csv(path, "tau,entropy", scan.taus, scan.entropies)
         sidecar = outdir / "entropy_dip.json"
         _write_json(sidecar, {
             "center": center,
@@ -212,7 +220,7 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
     taus = _tau_range(args, 801)
     values = observables.entropy(dynamics.atom_density_series(params, taus))
     path = outdir / "entropy.csv"
-    _write_csv(path, "tau,entropy", zip(taus, values))
+    _write_csv(path, "tau,entropy", taus, values)
     print(path)
     return 0
 
@@ -233,7 +241,7 @@ def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
 
 def cmd_qfunc(cfg: RunConfig, args) -> int:
     params = cfg.params()
-    outdir = cfg.outdir()
+    outdir = Path(cfg.output_dir)
     tau = parse_tau(args.tau)
     window = _parse_window(args.window)
     res = args.resolution if args.resolution is not None else 241
@@ -242,9 +250,14 @@ def cmd_qfunc(cfg: RunConfig, args) -> int:
     report = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
     path = outdir / f"qfunc_{label}.csv"
-    ims = grid.ims
-    rows = ((x, y, q) for x, row in zip(grid.res, grid.values) for y, q in zip(ims, row))
-    _write_csv(path, "re,im,q", rows)
+    # the coordinates are formatted once; each grid row is one % of a
+    # template that holds them
+    tails = ["%.17g,%%.17g\n" % y for y in grid.ims.tolist()]
+    with _create(path) as fh:
+        fh.write("re,im,q\n")
+        for x, row in zip(grid.res.tolist(), grid.values):
+            head = "%.17g," % x
+            fh.write("".join([head + t for t in tails]) % tuple(row.tolist()))
     sidecar = outdir / f"qfunc_{label}.json"
     _write_json(sidecar, {
         "tau": tau,
@@ -263,18 +276,18 @@ def cmd_qfunc(cfg: RunConfig, args) -> int:
 
 def cmd_inversion(cfg: RunConfig, args) -> int:
     params = cfg.params()
-    outdir = cfg.outdir()
+    outdir = Path(cfg.output_dir)
     taus = _tau_range(args, 2001)
     rho = dynamics.atom_density_series(params, taus)
     path = outdir / "inversion.csv"
-    _write_csv(path, "tau,w", zip(taus, rho.rho22 - rho.rho11))
+    _write_csv(path, "tau,w", taus, rho.rho22 - rho.rho11)
     print(path)
     return 0
 
 
 def cmd_catcheck(cfg: RunConfig, args) -> int:
     params = cfg.params()
-    outdir = cfg.outdir()
+    outdir = Path(cfg.output_dir)
     delta = catlab.dip_offset(args.r, cfg.nbar)
     tau_dip = math.pi / 4.0 + delta
 

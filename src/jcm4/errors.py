@@ -39,7 +39,8 @@ class QuadraticRequiresK4(JcmError):
 
 
 class TargetsRequireK4(JcmError):
-    """The Kerr and Kerr-cat target states are derived for k=4 only."""
+    """The Kerr and Kerr-cat target states and the dip offsets are derived
+    for k=4 only."""
 
 
 class NegligibleBranch(JcmError):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jcm4
-from jcm4.cli import _write_json, main, parse_tau, tau_label
+from jcm4.cli import _CSV_BLOCK, _write_csv, _write_json, main, parse_tau, tau_label
 from jcm4.errors import ParseError
 
 # small, fast configuration shared by the subcommand tests
@@ -140,6 +142,15 @@ class TestEntropyCommand:
         lines = (tmp_path / "entropy_dip.csv").read_text().splitlines()
         assert lines[0] == "tau,entropy"
         assert len(lines) == 122
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_dip_window_requires_k4(self, tmp_path, capsys, k):
+        # delta_r = r pi / (16 nbar) and its gridlines are derived for k = 4
+        rc = main(["entropy", *FAST, "--k", k, "--mode", "exact",
+                   "--dip-window", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"k=4, got k={k}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_steps(self, tmp_path):
         rc = main([
@@ -339,10 +350,43 @@ class TestErrorPaths:
         assert rc == 2
         assert not (tmp_path / "pnd_0.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["catcheck", "--k", "1", "--mode", "exact"],
+        ["catcheck", "--r", "2"],
+        ["pnd", "--cutoff", "3", "--tau", "0"],
+        ["qfunc", "--tau", "0", "--window", "inf"],
+    ])
+    def test_refused_run_leaves_no_directory(self, tmp_path, argv):
+        out = tmp_path / "new" / "dir"
+        rc = main([*argv, "--nbar", "4", "--out", str(out)])
+        assert rc == 2
+        assert not (tmp_path / "new").exists()
+
     def test_non_finite_nbar_exit_code(self, tmp_path):
         rc = main(["pnd", "--nbar", "nan", "--out", str(tmp_path), "--tau", "0"])
         assert rc == 2
         assert not (tmp_path / "pnd_0.csv").exists()
+
+
+# every finite double, -0.0, subnormals and the extremes included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(FINITE, min_size=1, max_size=40),
+           rows=st.sampled_from([1, 2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
+    @example(values=[-0.0, 0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308,
+                     1.7976931348623157e308, 0.1, 1e16, 123456789.0], rows=_CSV_BLOCK + 1)
+    def test_rows_are_seventeen_digit_values(self, tmp_path_factory, values, rows):
+        # an integer index column and two float columns built from the values
+        columns = (np.arange(rows), np.resize(values, rows),
+                   np.resize(values[::-1], rows) * -1.0)
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        _write_csv(path, "n,a,b", *columns)
+        expected = "n,a,b\n" + "".join(
+            ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns))
+        assert path.read_bytes() == expected.encode()
 
 
 def test_json_refuses_non_finite(tmp_path):
