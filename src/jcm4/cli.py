@@ -172,10 +172,10 @@ def cmd_pnd(cfg: RunConfig, args) -> int:
     if not specs:
         raise ParseError("at least one --tau is required")
     params = cfg.params()
+    # every distribution first, so that a bad --tau writes no file
+    dists = [observables.pnd(dynamics.evolve(params, parse_tau(spec))) for spec in specs]
     outdir = Path(cfg.output_dir)
-    for spec in specs:
-        tau = parse_tau(spec)
-        p = observables.pnd(dynamics.evolve(params, tau))
+    for spec, p in zip(specs, dists):
         path = outdir / f"pnd_{tau_label(spec)}.csv"
         _write_csv(path, "n,p", np.arange(len(p)), p)
         print(path)

@@ -354,6 +354,8 @@ class TestErrorPaths:
         ["catcheck", "--k", "1", "--mode", "exact"],
         ["catcheck", "--r", "2"],
         ["pnd", "--cutoff", "3", "--tau", "0"],
+        ["pnd", "--tau", "0", "--tau", "pie"],
+        ["pnd", "--tau", "0,1e999"],
         ["qfunc", "--tau", "0", "--window", "inf"],
     ])
     def test_refused_run_leaves_no_directory(self, tmp_path, argv):
