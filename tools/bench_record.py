@@ -1,14 +1,13 @@
 """Benchmark record of one change: ``perfbench/run.py`` on the parent and
 the change, written to ``BENCH_<number>.json``.
 
-    python3 tools/bench_record.py --number N --parent DIR [--change DIR]
-        [--seconds S] [--seeds 1 2 3]
+    python3 tools/bench_record.py --number N --parent DIR [--change DIR] [--seconds S]
 
 ``--parent`` and ``--change`` are source checkouts (the change defaults to
 the checkout holding this script).  For every workload of
-``BENCHMARK.json`` and every seed, ``python3 perfbench/run.py --workload W
---seed K --seconds S`` runs once in each checkout, the side that goes
-first alternating from one seed to the next.  The record holds, per side
+``BENCHMARK.json`` and each of the seeds 1-3, ``python3 perfbench/run.py
+--workload W --seed K --seconds S`` runs once in each checkout, the side
+that goes first alternating from one seed to the next.  The record holds, per side
 and workload, the median of each end-to-end metric over the seeds and
 every run's metrics, operation counts and ``raw:`` lines (standard error),
 together with each side's commit and the machine: usable CPUs, CPU model,
@@ -29,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
 
 
 def machine() -> dict:
@@ -72,7 +72,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, default=HERE, help="change checkout")
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: {w["name"]: [] for w in declared["workloads"]} for side in sides}
     for workload in runs["change"]:
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 run = run_once(sides[side], workload, seed, seconds)
                 runs[side][workload].append(run)
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
     record = {
         "command": ["python3", "perfbench/run.py", "--workload", "W", "--seed", "K",
                     "--seconds", str(seconds)],
-        "seeds": args.seeds,
+        "seeds": list(SEEDS),
         "machine": machine(),
         "sides": {
             side: {
