@@ -1,17 +1,19 @@
 """Benchmark record of one change: ``perfbench/run.py`` on the parent and
 the change, written to ``BENCH_<number>.json``.
 
-    python3 tools/bench_record.py --number N --parent DIR [--change DIR] [--seconds S]
+    python3 tools/bench_record.py --number N --parent DIR [--change DIR]
 
 ``--parent`` and ``--change`` are source checkouts (the change defaults to
 the checkout holding this script).  For every workload of
-``BENCHMARK.json`` and each of the seeds 1-3, ``python3 perfbench/run.py
---workload W --seed K --seconds S`` runs once in each checkout, the side
-that goes first alternating from one seed to the next.  The record holds, per side
-and workload, the median of each end-to-end metric over the seeds and
-every run's metrics, operation counts and ``raw:`` lines (standard error),
-together with each side's commit and the machine: usable CPUs, CPU model,
-and the Python and numpy versions.  It is written to the change checkout.
+``BENCHMARK.json`` and each of the seeds 1-10, ``python3 perfbench/run.py
+--workload W --seed K --seconds S`` runs once in each checkout, S being the
+benchmark's ``run_seconds`` and the side that goes first alternating from
+one seed to the next.  The record holds, per side and workload, the median
+and quartiles of each end-to-end metric over the seeds and every run's
+metrics, operation counts and ``raw:`` lines (standard error); per workload
+and metric, the number of seeds on which the change is better than the
+parent; each side's commit; and the machine: usable CPUs, CPU model, and
+the Python and numpy versions.  It is written to the change checkout.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
-SEEDS = (1, 2, 3)
+SEEDS = tuple(range(1, 11))
 
 
 def machine() -> dict:
@@ -71,11 +73,10 @@ def main(argv=None) -> int:
     parser.add_argument("--number", type=int, required=True, help="N of BENCH_<N>.json")
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, default=HERE, help="change checkout")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {side: {w["name"]: [] for w in declared["workloads"]} for side in sides}
     for workload in runs["change"]:
@@ -85,18 +86,38 @@ def main(argv=None) -> int:
                 runs[side][workload].append(run)
                 print(side, workload, seed, run["metrics"], file=sys.stderr)
 
+    metrics = declared["end_to_end"]
+
+    def values(side, workload, name):
+        return [r["metrics"][name] for r in runs[side][workload]]
+
+    def change_better(m, parent, change):
+        return change < parent if m["better"] == "lower" else change > parent
+
     record = {
         "command": ["python3", "perfbench/run.py", "--workload", "W", "--seed", "K",
                     "--seconds", str(seconds)],
         "seeds": list(SEEDS),
         "machine": machine(),
+        "change_better_on_seeds": {
+            workload: {m["name"]: sum(change_better(m, p, c) for p, c in zip(
+                values("parent", workload, m["name"]), values("change", workload, m["name"])))
+                       for m in metrics}
+            for workload in runs["change"]
+        },
         "sides": {
             side: {
                 "commit": commit(path),
                 "medians": {
-                    workload: {m["name"]: statistics.median(r["metrics"][m["name"]] for r in rs)
-                               for m in declared["end_to_end"]}
-                    for workload, rs in runs[side].items()
+                    workload: {m["name"]: statistics.median(values(side, workload, m["name"]))
+                               for m in metrics}
+                    for workload in runs[side]
+                },
+                "quartiles": {
+                    workload: {m["name"]: statistics.quantiles(values(side, workload, m["name"]),
+                                                               n=4)[::2]
+                               for m in metrics}
+                    for workload in runs[side]
                 },
                 "runs": runs[side],
             }
