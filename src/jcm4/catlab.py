@@ -157,13 +157,12 @@ def entropy_dip_scan(
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Connected components of a thresholded Q grid."""
+    """Connected components of a thresholded Q grid: one mass per component."""
 
-    count: int
     component_masses: tuple[float, ...]
 
 
-def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+def _label(mask: np.ndarray) -> np.ndarray:
     """4-connected components of a 2-D boolean mask, numbered 1.. in the raster
     order of their first cell (0 marks the background), by a flood fill over
     the flat indices of the cells set."""
@@ -188,7 +187,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
                     unvisited.remove(j)
                     stack.append(j)
         labels[component] = count
-    return labels.reshape(mask.shape), count
+    return labels.reshape(mask.shape)
 
 
 def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentReport:
@@ -201,13 +200,9 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
     peak = float(grid.values.max(initial=0.0))
     if grid.values.size == 0 or peak <= 0.0:
         raise EmptyGrid("grid has no positive Q values")
-    labels, count = _label(grid.values > threshold_fraction * peak)
-    masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:]
-    return ComponentReport(
-        count=count,
-        component_masses=tuple(sorted((float(m) * grid.cell_area for m in masses),
-                                      reverse=True)),
-    )
+    labels = _label(grid.values > threshold_fraction * peak)
+    masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:] * grid.cell_area
+    return ComponentReport(component_masses=tuple(sorted(masses.tolist(), reverse=True)))
 
 
 def _require_k4(params: ModelParams) -> None:

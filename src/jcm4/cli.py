@@ -15,8 +15,10 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,32 +122,25 @@ class RunConfig:
 # Rows of a CSV formatted by one % operation.
 _CSV_BLOCK = 4096
 
-
-def _create(path: Path):
-    """Open ``path`` for writing, making its directory first: a run refused
-    before its first write leaves no directory behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="\n")
+Files = list[tuple[str, Iterable[str]]]  # (name in the output directory, text chunks)
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
+def _csv(header: str, *columns) -> Iterator[str]:
     """One row per index of the equal-length ``columns``, each value as
     ``%.17g`` of its double (the bytes of ``format(float(v), ".17g")``,
-    round-trip exact), formatted with one % per block of rows."""
+    round-trip exact).  The columns are stacked now; the rows are formatted
+    as they are consumed, with one % per block of rows."""
     table = np.column_stack(columns).astype(float)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with _create(path) as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    blocks = (table[start:start + _CSV_BLOCK] for start in range(0, len(table), _CSV_BLOCK))
+    return chain([header + "\n"],
+                 (line * len(block) % tuple(block.ravel().tolist()) for block in blocks))
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json(payload: dict) -> list[str]:
+    """The sidecar text; a NaN or infinite value raises ValueError."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with _create(path) as fh:
-        fh.write(text + "\n")
+    return [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"]
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -165,21 +160,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
-def cmd_pnd(cfg: RunConfig, args) -> int:
+def cmd_pnd(cfg: RunConfig, args) -> Files:
     specs: list[str] = []
     for chunk in args.tau:
         specs.extend(s for s in chunk.split(",") if s)
     if not specs:
         raise ParseError("at least one --tau is required")
     params = cfg.params()
-    # every distribution first, so that a bad --tau writes no file
     dists = [observables.pnd(dynamics.evolve(params, parse_tau(spec))) for spec in specs]
-    outdir = Path(cfg.output_dir)
-    for spec, p in zip(specs, dists):
-        path = outdir / f"pnd_{tau_label(spec)}.csv"
-        _write_csv(path, "n,p", np.arange(len(p)), p)
-        print(path)
-    return 0
+    return [(f"pnd_{tau_label(spec)}.csv", _csv("n,p", np.arange(len(p)), p))
+            for spec, p in zip(specs, dists)]
 
 
 def _tau_range(args, default_steps: int) -> np.ndarray:
@@ -193,19 +183,15 @@ def _tau_range(args, default_steps: int) -> np.ndarray:
         return np.linspace(tau_min, tau_max, steps)
 
 
-def cmd_entropy(cfg: RunConfig, args) -> int:
+def cmd_entropy(cfg: RunConfig, args) -> Files:
     params = cfg.params()
-    outdir = Path(cfg.output_dir)
     if args.dip_window:
         catlab._require_k4(params)
         delta1 = catlab.dip_offset(1, cfg.nbar)
         center, halfwidth = math.pi / 4.0, 6.0 * delta1
         steps = args.steps if args.steps is not None else 1201
         scan = catlab.entropy_dip_scan(params, center, halfwidth, steps)
-        path = outdir / "entropy_dip.csv"
-        _write_csv(path, "tau,entropy", scan.taus, scan.entropies)
-        sidecar = outdir / "entropy_dip.json"
-        _write_json(sidecar, {
+        sidecar = _json({
             "center": center,
             "halfwidth": halfwidth,
             "steps": steps,
@@ -214,15 +200,11 @@ def cmd_entropy(cfg: RunConfig, args) -> int:
             "minima_tau": [float(scan.taus[i]) for i in scan.minima],
             "minima_entropy": [float(scan.entropies[i]) for i in scan.minima],
         })
-        print(path)
-        print(sidecar)
-        return 0
+        return [("entropy_dip.csv", _csv("tau,entropy", scan.taus, scan.entropies)),
+                ("entropy_dip.json", sidecar)]
     taus = _tau_range(args, 801)
     values = observables.entropy(dynamics.atom_density_series(params, taus))
-    path = outdir / "entropy.csv"
-    _write_csv(path, "tau,entropy", taus, values)
-    print(path)
-    return 0
+    return [("entropy.csv", _csv("tau,entropy", taus, values))]
 
 
 def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
@@ -239,55 +221,43 @@ def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
     raise ParseError("window must be a half-width L or re_min,re_max,im_min,im_max")
 
 
-def cmd_qfunc(cfg: RunConfig, args) -> int:
+def cmd_qfunc(cfg: RunConfig, args) -> Files:
     params = cfg.params()
-    outdir = Path(cfg.output_dir)
     tau = parse_tau(args.tau)
     window = _parse_window(args.window)
-    res = args.resolution if args.resolution is not None else 241
     field = dynamics.field_rank2(dynamics.evolve(params, tau))
-    grid = observables.q_grid(field, window, res, res)
+    grid = observables.q_grid(field, window, args.resolution, args.resolution)
     report = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
-    path = outdir / f"qfunc_{label}.csv"
     # the coordinates are formatted once; each grid row is one % of a
     # template that holds them
+    heads = ["%.17g," % x for x in grid.res.tolist()]
     tails = ["%.17g,%%.17g\n" % y for y in grid.ims.tolist()]
-    with _create(path) as fh:
-        fh.write("re,im,q\n")
-        for x, row in zip(grid.res.tolist(), grid.values):
-            head = "%.17g," % x
-            fh.write("".join([head + t for t in tails]) % tuple(row.tolist()))
-    sidecar = outdir / f"qfunc_{label}.json"
-    _write_json(sidecar, {
+    rows = ("".join([head + t for t in tails]) % tuple(row.tolist())
+            for head, row in zip(heads, grid.values))
+    sidecar = _json({
         "tau": tau,
         "window": list(window),
         "nx": grid.nx,
         "ny": grid.ny,
         "riemann_sum": grid.riemann_sum(),
         "threshold_fraction": args.threshold,
-        "component_count": report.count,
+        "component_count": len(report.component_masses),
         "component_masses": list(report.component_masses),
     })
-    print(path)
-    print(sidecar)
-    return 0
+    return [(f"qfunc_{label}.csv", chain(["re,im,q\n"], rows)),
+            (f"qfunc_{label}.json", sidecar)]
 
 
-def cmd_inversion(cfg: RunConfig, args) -> int:
+def cmd_inversion(cfg: RunConfig, args) -> Files:
     params = cfg.params()
-    outdir = Path(cfg.output_dir)
     taus = _tau_range(args, 2001)
     rho = dynamics.atom_density_series(params, taus)
-    path = outdir / "inversion.csv"
-    _write_csv(path, "tau,w", taus, rho.rho22 - rho.rho11)
-    print(path)
-    return 0
+    return [("inversion.csv", _csv("tau,w", taus, rho.rho22 - rho.rho11))]
 
 
-def cmd_catcheck(cfg: RunConfig, args) -> int:
+def cmd_catcheck(cfg: RunConfig, args) -> Files:
     params = cfg.params()
-    outdir = Path(cfg.output_dir)
     delta = catlab.dip_offset(args.r, cfg.nbar)
     tau_dip = math.pi / 4.0 + delta
 
@@ -314,10 +284,7 @@ def cmd_catcheck(cfg: RunConfig, args) -> int:
         "rho12_dip": [rho_dip.rho12.real, rho_dip.rho12.imag],
         "rho12_target_deviation": abs(rho_dip.rho12 - rho12_target),
     }
-    path = outdir / f"catcheck_r{args.r}.json"
-    _write_json(path, payload)
-    print(path)
-    return 0
+    return [(f"catcheck_r{args.r}.json", _json(payload))]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,6 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="output_dir", help="output directory (default .)")
         p.add_argument("--config", help="JSON config file (flags take precedence)")
 
+    def add_range(p):
+        p.add_argument("--tau-min", dest="tau_min", help="range start (default 0)")
+        p.add_argument("--tau-max", dest="tau_max", help="range end (default pi)")
+        p.add_argument("--steps", type=int, help="number of samples")
+
     p = sub.add_parser("pnd", help="photon number distribution at given times")
     add_common(p)
     p.add_argument("--tau", action="append", required=True,
@@ -348,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="field entropy over a time range")
     add_common(p)
-    p.add_argument("--tau-min", dest="tau_min", help="range start (default 0)")
-    p.add_argument("--tau-max", dest="tau_max", help="range end (default pi)")
-    p.add_argument("--steps", type=int, help="number of samples")
+    add_range(p)
     p.add_argument("--dip-window", action="store_true", dest="dip_window",
                    help="scan pi/4 +/- 6*delta_1 with r-gridline JSON sidecar")
     p.set_defaults(run=cmd_entropy)
@@ -360,16 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="symbolic time")
     p.add_argument("--window", help="half-width L or re_min,re_max,im_min,im_max "
                                     "(default 12)")
-    p.add_argument("--resolution", type=int, help="grid points per axis (default 241)")
+    p.add_argument("--resolution", type=int, default=241,
+                   help="grid points per axis (default 241)")
     p.add_argument("--threshold", type=float, default=0.1,
                    help="component threshold as fraction of peak (default 0.1)")
     p.set_defaults(run=cmd_qfunc)
 
     p = sub.add_parser("inversion", help="atomic population inversion over time")
     add_common(p)
-    p.add_argument("--tau-min", dest="tau_min", help="range start (default 0)")
-    p.add_argument("--tau-max", dest="tau_max", help="range end (default pi)")
-    p.add_argument("--steps", type=int, help="number of samples")
+    add_range(p)
     p.set_defaults(run=cmd_inversion)
 
     p = sub.add_parser("catcheck", help="Kerr/cat fidelity and coherence dossier")
@@ -381,14 +350,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write the files it returns.  Nothing is written
+    until every file is computed, so a refused run leaves no file behind."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.run(cfg, args)
-    except (JcmError, ValueError, OSError) as exc:
+        files = args.run(cfg, args)
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, chunks in files:
+            path = outdir / name
+            with open(path, "w", newline="\n") as fh:
+                fh.writelines(chunks)
+            print(path)
+    except (JcmError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

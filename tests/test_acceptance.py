@@ -202,9 +202,10 @@ def test_criterion_8_q_components(params, acceptance):
         grid = q_grid(field_rank2(evolve(params, tau)), WINDOW, 241, 241)
         report = count_components(grid, 0.1)
         total = grid.riemann_sum()
-        if report.count != want or abs(total - 1.0) > 1e-3:
+        count = len(report.component_masses)
+        if count != want or abs(total - 1.0) > 1e-3:
             ok = False
-        notes.append(f"{report.count}/{want}")
+        notes.append(f"{count}/{want}")
     acceptance(8, ok, "counts got/want: " + ", ".join(notes))
 
 

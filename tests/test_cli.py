@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcm4
-from jcm4.cli import _CSV_BLOCK, _write_csv, _write_json, main, parse_tau, tau_label
+from jcm4 import observables
+from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
 from jcm4.errors import ParseError
 
 # small, fast configuration shared by the subcommand tests
@@ -357,12 +358,45 @@ class TestErrorPaths:
         ["pnd", "--tau", "0", "--tau", "pie"],
         ["pnd", "--tau", "0,1e999"],
         ["qfunc", "--tau", "0", "--window", "inf"],
+        # refused only when its JSON sidecar meets riemann_sum = inf, after
+        # the CSV is computed
+        ["qfunc", "--cutoff", "32", "--tau", "0", "--window", "1.5e154",
+         "--resolution", "3"],
     ])
-    def test_refused_run_leaves_no_directory(self, tmp_path, argv):
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "new" / "dir"
         rc = main([*argv, "--nbar", "4", "--out", str(out)])
         assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert not (tmp_path / "new").exists()
+
+    def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # stands in for an allocation the host refuses (e.g. --cutoff 1e13);
+        # the extreme case itself is never allocated here
+        def refuse(state):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(observables, "pnd", refuse)
+        out = tmp_path / "new"
+        rc = main(["pnd", *FAST, "--tau", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 72.8 TiB\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pnd", "--tau", "0", "--tau", "pi/4,pi/8"],
+        ["entropy", "--steps", "5"],
+        ["entropy", "--dip-window", "--steps", "5"],
+        ["qfunc", "--tau", "pi/4", "--resolution", "9"],
+        ["inversion", "--steps", "5"],
+        ["catcheck"],
+    ])
+    def test_printed_paths_are_the_files_written(self, tmp_path, capsys, argv):
+        assert main([*argv, *FAST, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(printed) == sorted(str(p) for p in tmp_path.iterdir())
 
     def test_non_finite_nbar_exit_code(self, tmp_path):
         rc = main(["pnd", "--nbar", "nan", "--out", str(tmp_path), "--tau", "0"])
@@ -380,22 +414,18 @@ class TestCsvWriter:
            rows=st.sampled_from([1, 2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
     @example(values=[-0.0, 0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308,
                      1.7976931348623157e308, 0.1, 1e16, 123456789.0], rows=_CSV_BLOCK + 1)
-    def test_rows_are_seventeen_digit_values(self, tmp_path_factory, values, rows):
+    def test_rows_are_seventeen_digit_values(self, values, rows):
         # an integer index column and two float columns built from the values
         columns = (np.arange(rows), np.resize(values, rows),
                    np.resize(values[::-1], rows) * -1.0)
-        path = tmp_path_factory.getbasetemp() / "table.csv"
-        _write_csv(path, "n,a,b", *columns)
         expected = "n,a,b\n" + "".join(
             ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns))
-        assert path.read_bytes() == expected.encode()
+        assert "".join(_csv("n,a,b", *columns)) == expected
 
 
-def test_json_refuses_non_finite(tmp_path):
-    path = tmp_path / "x.json"
+def test_json_refuses_non_finite():
     with pytest.raises(ValueError):
-        _write_json(path, {"riemann_sum": math.nan})
-    assert not path.exists()
+        _json({"riemann_sum": math.nan})
 
 
 def test_import_loads_no_scipy():
