@@ -1,8 +1,6 @@
 """Four-photon Jaynes-Cummings dynamics in the large photon number regime."""
 
 from .catlab import (
-    CatState,
-    ComponentReport,
     DipScan,
     count_components,
     dip_offset,
@@ -24,7 +22,7 @@ from .dynamics import (
     rabi_frequencies,
 )
 from .errors import JcmError
-from .fock import FieldState, TailReport, coherent_state, fidelity, kerr_state, overlap
+from .fock import coherent_state, fidelity, kerr_state, overlap
 from .observables import (
     PhaseGrid,
     atomic_inversion,
@@ -39,9 +37,8 @@ from .observables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomDensity", "CatState", "ComponentReport", "DipScan",
-    "FieldRank2", "FieldState", "JcmError", "JointState", "ModelParams",
-    "PhaseGrid", "RabiMode", "TailReport",
+    "AtomDensity", "DipScan", "FieldRank2", "JcmError", "JointState",
+    "ModelParams", "PhaseGrid", "RabiMode",
     "atom_density", "atom_density_series", "atomic_inversion", "coherent_state",
     "count_components", "dip_offset", "entropy", "entropy_dip_scan", "evolve",
     "expected_cat_state",

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .dynamics import JointState, ModelParams, atom_density_series, evolve
 from .errors import EmptyGrid, EvenR, NegligibleBranch, TargetsRequireK4
-from .fock import DEFAULT_TAIL_TOL, FieldState, fidelity, kerr_state
+from .fock import DEFAULT_TAIL_TOL, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
-    "ComponentReport",
-    "CatState",
     "DipScan",
     "dip_offset",
     "expected_kerr_state",
@@ -52,25 +49,14 @@ def dip_offset(r: int, nbar: float) -> float:
 
 def expected_kerr_state(
     alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FieldState:
+) -> np.ndarray:
     """Predicted field at half period after detecting the atom in |g>:
     the Kerr state |-alpha, pi>.
 
     The simulated ground branch lives on |n+4>; compare against this state
-    only after the explicit 4-step downshift of :func:`post_selected_field`.
+    only after the 4-step downshift of :func:`post_selected_field`.
     """
     return kerr_state(-alpha, math.pi, cutoff, tail_tol)
-
-
-@dataclass(frozen=True)
-class CatState:
-    """Normalized Kerr-cat target plus the norm of the nominal equal-weight
-    superposition before renormalization (1 when the branches are exactly
-    orthogonal, so ``abs(pre_norm - 1)`` measures the branch overlap plus
-    any drift of the branch weights away from 1/sqrt(2))."""
-
-    state: FieldState
-    pre_norm: float
 
 
 def expected_cat_state(
@@ -78,7 +64,7 @@ def expected_cat_state(
     delta: float,
     cutoff: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
-) -> CatState:
+) -> tuple[np.ndarray, float]:
     """Equal superposition of two Kerr states predicted at tau = pi/4 + delta.
 
     With d = delta and tau = pi/4 + d the target is
@@ -89,6 +75,11 @@ def expected_cat_state(
     which follows from splitting sin(W_n tau) into its two exponentials with
     W_n = n(n-1) + 6n + 5 (note the conjugate-symmetric +i6d / -i6d pair of
     branch rotations).
+
+    Returns the normalized target and the norm of the nominal equal-weight
+    superposition before renormalization (1 when the branches are exactly
+    orthogonal, so ``abs(pre_norm - 1)`` measures the branch overlap plus
+    any drift of the branch weights away from 1/sqrt(2)).
     """
     d = delta
     tau = math.pi / 4.0 + d
@@ -96,39 +87,20 @@ def expected_cat_state(
                              cutoff, tail_tol)
     branch_minus = kerr_state(+1j * alpha * np.exp(-6j * d), -math.pi / 2 - 2 * d,
                               cutoff, tail_tol)
-    raw = (np.exp(5j * tau) * branch_plus.amplitudes
-           - np.exp(-5j * tau) * branch_minus.amplitudes) / math.sqrt(2.0)
+    raw = (np.exp(5j * tau) * branch_plus
+           - np.exp(-5j * tau) * branch_minus) / math.sqrt(2.0)
     pre_norm = float(np.linalg.norm(raw))
-    state = FieldState(amplitudes=raw / pre_norm, cutoff=cutoff)
-    return CatState(state=state, pre_norm=pre_norm)
+    return raw / pre_norm, pre_norm
 
 
-def post_selected_field(
-    state: JointState,
-    outcome: Literal["e", "g"],
-    downshift: bool = False,
-) -> FieldState:
-    """Normalized field conditioned on detecting the atom in |e> or |g>.
-
-    ``downshift`` removes the k-photon index shift of the ground branch so
-    the result can be compared against states written over |n>; it is a
-    no-op guard for the excited branch, whose amplitudes are unshifted.
-    """
-    if outcome == "e":
-        branch = state.excited
-    elif outcome == "g":
-        branch = state.ground
-    else:
-        raise ValueError(f"outcome must be 'e' or 'g', got {outcome!r}")
-    norm_sq = float(np.vdot(branch, branch).real)
+def post_selected_field(state: JointState) -> np.ndarray:
+    """Normalized field conditioned on detecting the atom in |g>, with the
+    k-photon index shift of the ground branch removed, so the result lives
+    on |0>..|cutoff - k> and compares against states written over |n>."""
+    norm_sq = float(np.vdot(state.ground, state.ground).real)
     if norm_sq <= 1e-12:
-        raise NegligibleBranch(
-            f"outcome {outcome!r} has probability {norm_sq:.3e}"
-        )
-    amps = branch / math.sqrt(norm_sq)
-    if downshift and outcome == "g":
-        amps = amps[state.k:]
-    return FieldState(amplitudes=amps, cutoff=len(amps) - 1)
+        raise NegligibleBranch(f"outcome 'g' has probability {norm_sq:.3e}")
+    return (state.ground / math.sqrt(norm_sq))[state.k:]
 
 
 @dataclass(frozen=True)
@@ -153,13 +125,6 @@ def entropy_dip_scan(
     s = entropy(atom_density_series(params, taus))
     minima = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
     return DipScan(taus=taus, entropies=s, minima=tuple(int(i) for i in minima))
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    """Connected components of a thresholded Q grid: one mass per component."""
-
-    component_masses: tuple[float, ...]
 
 
 def _label(mask: np.ndarray) -> np.ndarray:
@@ -190,10 +155,9 @@ def _label(mask: np.ndarray) -> np.ndarray:
     return labels.reshape(mask.shape)
 
 
-def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentReport:
-    """Count 4-connected components of cells above threshold_fraction * max Q.
-
-    Masses are per-component Riemann sums, sorted descending.
+def count_components(grid: PhaseGrid, threshold_fraction: float) -> tuple[float, ...]:
+    """Masses of the 4-connected components of cells above
+    threshold_fraction * max Q: per-component Riemann sums, sorted descending.
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError("threshold_fraction must be in (0, 1)")
@@ -202,7 +166,7 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> ComponentRep
         raise EmptyGrid("grid has no positive Q values")
     labels = _label(grid.values > threshold_fraction * peak)
     masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:] * grid.cell_area
-    return ComponentReport(component_masses=tuple(sorted(masses.tolist(), reverse=True)))
+    return tuple(sorted(masses.tolist(), reverse=True))
 
 
 def _require_k4(params: ModelParams) -> None:
@@ -216,8 +180,8 @@ def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     predicted Kerr state |-alpha, pi> (1 up to rounding in quadratic mode)."""
     _require_k4(params)
     state = evolve(params, math.pi / 2.0)
-    field = post_selected_field(state, "g", downshift=True)
-    target = expected_kerr_state(params.alpha, field.cutoff, params.tail_tol)
+    field = post_selected_field(state)
+    target = expected_kerr_state(params.alpha, len(field) - 1, params.tail_tol)
     return fidelity(field, target)
 
 
@@ -232,12 +196,12 @@ def cat_match(params: ModelParams, delta: float) -> dict:
     """
     _require_k4(params)
     state = evolve(params, math.pi / 4.0 + delta)
-    field = post_selected_field(state, "g", downshift=True)
-    cat = expected_cat_state(params.alpha, delta, field.cutoff, params.tail_tol)
-    f_normalized = fidelity(field, cat.state)
-    f_nominal = min(cat.pre_norm ** 2 * f_normalized, 1.0)
+    field = post_selected_field(state)
+    cat, pre_norm = expected_cat_state(params.alpha, delta, len(field) - 1, params.tail_tol)
+    f_normalized = fidelity(field, cat)
+    f_nominal = min(pre_norm ** 2 * f_normalized, 1.0)
     return {
         "fidelity": f_normalized,
         "nominal_fidelity": f_nominal,
-        "pre_norm": cat.pre_norm,
+        "pre_norm": pre_norm,
     }

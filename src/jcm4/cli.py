@@ -186,6 +186,9 @@ def _tau_range(args, default_steps: int) -> np.ndarray:
 def cmd_entropy(cfg: RunConfig, args) -> Files:
     params = cfg.params()
     if args.dip_window:
+        if args.tau_min is not None or args.tau_max is not None:
+            raise JcmError("--dip-window scans its own tau range; "
+                           "it takes no --tau-min or --tau-max")
         catlab._require_k4(params)
         delta1 = catlab.dip_offset(1, cfg.nbar)
         center, halfwidth = math.pi / 4.0, 6.0 * delta1
@@ -227,7 +230,7 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
     window = _parse_window(args.window)
     field = dynamics.field_rank2(dynamics.evolve(params, tau))
     grid = observables.q_grid(field, window, args.resolution, args.resolution)
-    report = catlab.count_components(grid, args.threshold)
+    masses = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
     # the coordinates are formatted once; each grid row is one % of a
     # template that holds them
@@ -242,8 +245,8 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
         "ny": grid.ny,
         "riemann_sum": grid.riemann_sum(),
         "threshold_fraction": args.threshold,
-        "component_count": len(report.component_masses),
-        "component_masses": list(report.component_masses),
+        "component_count": len(masses),
+        "component_masses": list(masses),
     })
     return [(f"qfunc_{label}.csv", chain(["re,im,q\n"], rows)),
             (f"qfunc_{label}.json", sidecar)]

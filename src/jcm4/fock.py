@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,39 +29,12 @@ from .errors import CutoffMismatch, NonFiniteValue, NonPositiveTolerance, TailTo
 DEFAULT_TAIL_TOL = 1e-9
 
 __all__ = [
-    "FieldState",
-    "TailReport",
     "coherent_state",
     "kerr_state",
     "overlap",
     "fidelity",
     "coherent_amplitudes",
 ]
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Normalized pure state of the cavity field, truncated at ``cutoff``."""
-
-    amplitudes: np.ndarray  # complex, shape (cutoff+1,)
-    cutoff: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
-        if amps.shape != (self.cutoff + 1,):
-            raise ValueError("amplitude vector must have cutoff+1 entries")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Probability mass the truncation discarded, computed analytically."""
-
-    tail_mass: float
-    cutoff_used: int
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -96,7 +68,7 @@ def _normalized_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
-def _check_tail(alpha: complex, cutoff: int, tail_tol: float) -> TailReport:
+def _check_tail(alpha: complex, cutoff: int, tail_tol: float) -> float:
     """Poisson(|alpha|^2) mass above ``cutoff``, checked against ``tail_tol``.
 
     The terms t_n = e^{-nbar} nbar^n / n! are summed with the ratio recurrence
@@ -132,52 +104,52 @@ def _check_tail(alpha: complex, cutoff: int, tail_tol: float) -> TailReport:
             tail = 1.0 - tail
     if not tail <= tail_tol:
         raise TailTooHeavy(tail, cutoff, tail_tol)
-    return TailReport(tail_mass=tail, cutoff_used=cutoff)
+    return tail
 
 
 def coherent_state(
     alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[FieldState, TailReport]:
-    """Truncated coherent state |alpha> with an analytic tail-mass guarantee.
+) -> tuple[np.ndarray, float]:
+    """Truncated coherent state |alpha>, amplitudes over |0>..|cutoff>, and the
+    Poisson mass above ``cutoff`` that the truncation discarded.
 
-    Raises :class:`TailTooHeavy` if the Poisson mass above ``cutoff`` exceeds
-    ``tail_tol`` -- silent renormalization of a badly truncated state would
-    mask configuration errors.
+    Raises :class:`TailTooHeavy` if that mass exceeds ``tail_tol`` -- silent
+    renormalization of a badly truncated state would mask configuration
+    errors.
     """
-    report = _check_tail(alpha, cutoff, tail_tol)
-    return FieldState(amplitudes=_normalized_amplitudes(alpha, cutoff), cutoff=cutoff), report
+    tail = _check_tail(alpha, cutoff, tail_tol)
+    return _normalized_amplitudes(alpha, cutoff), tail
 
 
 def kerr_state(
     alpha: complex, gamma: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> FieldState:
+) -> np.ndarray:
     """Coherent state dressed with the quadratic phase e^{i gamma n(n-1)/2}.
 
     The modulus of every amplitude equals the coherent-state modulus; gamma is
     reduced mod 2*pi first (exact for integer n(n-1)/2), which keeps the phase
     accurate for the large quantum numbers near a 256-photon cutoff.
     """
-    report_state, _ = coherent_state(alpha, cutoff, tail_tol)
+    amps, _ = coherent_state(alpha, cutoff, tail_tol)
     n = np.arange(cutoff + 1, dtype=np.int64)
     half_pairs = (n * (n - 1)) // 2
     g = math.fmod(gamma, 2.0 * math.pi)
     phases = np.exp(1j * g * half_pairs)
-    return FieldState(amplitudes=report_state.amplitudes * phases, cutoff=cutoff)
+    return amps * phases
 
 
-def overlap(a: FieldState, b: FieldState) -> complex:
-    """Inner product <a|b> = sum conj(a_n) b_n."""
-    if a.cutoff != b.cutoff:
-        raise CutoffMismatch(f"cutoffs differ: {a.cutoff} vs {b.cutoff}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b> = sum conj(a_n) b_n of two amplitude arrays."""
+    if len(a) != len(b):
+        raise CutoffMismatch(f"cutoffs differ: {len(a) - 1} vs {len(b) - 1}")
+    return complex(np.vdot(a, b))
 
 
-def fidelity(a: FieldState, b: FieldState) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """|<a|b>|^2 / (<a|a> <b|b>), invariant under global phases of either
     state.  Dividing by the norms cancels their last-bit rounding, so the
     fidelity of a state with itself is exactly 1."""
     ov = overlap(a, b)
-    norms = float(np.vdot(a.amplitudes, a.amplitudes).real
-                  * np.vdot(b.amplitudes, b.amplitudes).real)
+    norms = float(np.vdot(a, a).real * np.vdot(b, b).real)
     f = (ov.real * ov.real + ov.imag * ov.imag) / norms
     return min(f, 1.0)

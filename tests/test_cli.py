@@ -362,6 +362,8 @@ class TestErrorPaths:
         # the CSV is computed
         ["qfunc", "--cutoff", "32", "--tau", "0", "--window", "1.5e154",
          "--resolution", "3"],
+        # the dip window sets its own range, so a time range is refused
+        ["entropy", "--dip-window", "--tau-min", "1", "--tau-max", "2"],
     ])
     def test_refused_run_leaves_no_directory(self, tmp_path, capsys, argv):
         out = tmp_path / "new" / "dir"

@@ -19,7 +19,8 @@ HASHES = Path(__file__).parent / "golden" / "sha256sums"
 LARGE = ["--nbar", "5000", "--cutoff", "5470"]
 
 # (output subdirectory, arguments): the six README commands, a rotated
-# field, and the paper's large-photon-number regime
+# field, the exact Rabi frequencies (also at k = 2), and the paper's
+# large-photon-number regime
 RUNS = [
     ("readme", ["pnd", "--tau", "pi/4", "--tau", "pi/8,pi/8-pi/24000"]),
     ("readme", ["entropy", "--tau-min", "0", "--tau-max", "pi", "--steps", "801"]),
@@ -29,6 +30,8 @@ RUNS = [
     ("readme", ["inversion", "--tau-max", "pi/2"]),
     ("readme", ["catcheck", "--r", "1"]),
     ("phase", ["catcheck", "--r", "3", "--alpha-phase", "0.3"]),
+    ("exact", ["pnd", "--tau", "pi/4", "--mode", "exact"]),
+    ("exact", ["inversion", "--k", "2", "--mode", "exact", "--tau-max", "pi/2"]),
     ("nbar5000", ["entropy", "--dip-window", *LARGE]),
     ("nbar5000", ["pnd", "--tau", "pi/4+pi/80000", *LARGE]),
     ("nbar5000", ["catcheck", *LARGE]),

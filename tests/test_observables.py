@@ -40,7 +40,7 @@ def params():
 @pytest.fixture(scope="module")
 def poisson50():
     coh, _ = coherent_state(ALPHA50, 256)
-    return np.abs(coh.amplitudes) ** 2
+    return np.abs(coh) ** 2
 
 
 class TestPnd:
