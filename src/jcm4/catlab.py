@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import JointState, ModelParams, atom_density_series, evolve
-from .errors import EmptyGrid, EvenR, NegligibleBranch, TargetsRequireK4
+from .errors import JcmError
 from .fock import DEFAULT_TAIL_TOL, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
@@ -41,9 +41,9 @@ def dip_offset(r: int, nbar: float) -> float:
     0.0029 at nbar = 50, 100, 400, 1400 and 5000.
     """
     if r % 2 == 0:
-        raise EvenR(f"r must be odd, got {r}")
+        raise JcmError(f"r must be odd, got {r}")
     if nbar <= 0:
-        raise ValueError("nbar must be > 0")
+        raise JcmError("nbar must be > 0")
     return r * math.pi / (16.0 * nbar)
 
 
@@ -99,7 +99,7 @@ def post_selected_field(state: JointState) -> np.ndarray:
     on |0>..|cutoff - k> and compares against states written over |n>."""
     norm_sq = float(np.vdot(state.ground, state.ground).real)
     if norm_sq <= 1e-12:
-        raise NegligibleBranch(f"outcome 'g' has probability {norm_sq:.3e}")
+        raise JcmError(f"outcome 'g' has probability {norm_sq:.3e}")
     return (state.ground / math.sqrt(norm_sq))[state.k:]
 
 
@@ -120,7 +120,7 @@ def entropy_dip_scan(
     Local minima are interior grid points strictly below both neighbors.
     """
     if steps < 3:
-        raise ValueError("steps must be >= 3")
+        raise JcmError("steps must be >= 3")
     taus = np.linspace(center - halfwidth, center + halfwidth, steps)
     s = entropy(atom_density_series(params, taus))
     minima = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
@@ -160,10 +160,10 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> tuple[float,
     threshold_fraction * max Q: per-component Riemann sums, sorted descending.
     """
     if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1)")
+        raise JcmError("threshold_fraction must be in (0, 1)")
     peak = float(grid.values.max(initial=0.0))
     if grid.values.size == 0 or peak <= 0.0:
-        raise EmptyGrid("grid has no positive Q values")
+        raise JcmError("grid has no positive Q values")
     labels = _label(grid.values > threshold_fraction * peak)
     masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:] * grid.cell_area
     return tuple(sorted(masses.tolist(), reverse=True))
@@ -171,7 +171,7 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> tuple[float,
 
 def _require_k4(params: ModelParams) -> None:
     if params.k != 4:
-        raise TargetsRequireK4(
+        raise JcmError(
             f"the Kerr and cat targets and the dip offsets are derived for k=4, got k={params.k}")
 
 

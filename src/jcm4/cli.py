@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catlab, dynamics, observables
 from .dynamics import ModelParams, RabiMode
-from .errors import JcmError, ParseError
+from .errors import JcmError
 
 SCHEMA_VERSION = 1
 
@@ -43,11 +43,11 @@ def parse_tau(expr: str) -> float:
     """
     text = expr.strip().lower().replace(" ", "")
     if not text:
-        raise ParseError("empty tau expression")
+        raise JcmError("empty tau expression")
     # split into signed terms
     pieces = re.findall(r"[+-]?[^+-]+", text)
     if "".join(pieces) != text:
-        raise ParseError(f"malformed tau expression: {expr!r}")
+        raise JcmError(f"malformed tau expression: {expr!r}")
     pi_part = Fraction(0)
     real_part = 0.0
     for piece in pieces:
@@ -55,14 +55,14 @@ def parse_tau(expr: str) -> float:
         body = piece.lstrip("+-")
         m = _TERM_RE.match(body)
         if not m:
-            raise ParseError(f"malformed tau term: {piece!r} in {expr!r}")
+            raise JcmError(f"malformed tau term: {piece!r} in {expr!r}")
         if m.group("num") is not None:
             real_part += sign * float(m.group("num"))
         else:
             coef = Fraction(m.group("coef") or "1")
             den = Fraction(m.group("den") or "1")
             if den == 0:
-                raise ParseError(f"zero denominator in tau term: {piece!r} in {expr!r}")
+                raise JcmError(f"zero denominator in tau term: {piece!r} in {expr!r}")
             pi_part += sign * coef / den
     return math.pi * pi_part.numerator / pi_part.denominator + real_part
 
@@ -165,7 +165,7 @@ def cmd_pnd(cfg: RunConfig, args) -> Files:
     for chunk in args.tau:
         specs.extend(s for s in chunk.split(",") if s)
     if not specs:
-        raise ParseError("at least one --tau is required")
+        raise JcmError("at least one --tau is required")
     params = cfg.params()
     dists = [observables.pnd(dynamics.evolve(params, parse_tau(spec))) for spec in specs]
     return [(f"pnd_{tau_label(spec)}.csv", _csv("n,p", np.arange(len(p)), p))
@@ -215,13 +215,13 @@ def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
         return (-12.0, 12.0, -12.0, 12.0)
     parts = [float(p) for p in spec.split(",")]
     if not all(math.isfinite(p) for p in parts):
-        raise ParseError(f"window parts must be finite, got {spec!r}")
+        raise JcmError(f"window parts must be finite, got {spec!r}")
     if len(parts) == 1:
         half = abs(parts[0])
         return (-half, half, -half, half)
     if len(parts) == 4:
         return (parts[0], parts[1], parts[2], parts[3])
-    raise ParseError("window must be a half-width L or re_min,re_max,im_min,im_max")
+    raise JcmError("window must be a half-width L or re_min,re_max,im_min,im_max")
 
 
 def cmd_qfunc(cfg: RunConfig, args) -> Files:
@@ -230,6 +230,11 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
     window = _parse_window(args.window)
     field = dynamics.field_rank2(dynamics.evolve(params, tau))
     grid = observables.q_grid(field, window, args.resolution, args.resolution)
+    riemann_sum = grid.riemann_sum()
+    # Q >= 0 integrates to 1 over the plane: a larger sum proves the grid too coarse
+    if not riemann_sum <= 1.0 + 1e-3:
+        raise JcmError(f"Q sums to {riemann_sum:.6g} over the window, above 1 + 1e-3: "
+                       "the grid is too coarse to resolve the state; raise --resolution")
     masses = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
     # the coordinates are formatted once; each grid row is one % of a
@@ -243,7 +248,7 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
         "window": list(window),
         "nx": grid.nx,
         "ny": grid.ny,
-        "riemann_sum": grid.riemann_sum(),
+        "riemann_sum": riemann_sum,
         "threshold_fraction": args.threshold,
         "component_count": len(masses),
         "component_masses": list(masses),
@@ -367,7 +372,7 @@ def main(argv=None) -> int:
             with open(path, "w", newline="\n") as fh:
                 fh.writelines(chunks)
             print(path)
-    except (JcmError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # JcmError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

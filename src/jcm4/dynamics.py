@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadraticRequiresK4
+from .errors import JcmError
 from .fock import DEFAULT_TAIL_TOL, _check_tail, _normalized_amplitudes
 
 __all__ = [
@@ -39,6 +39,10 @@ _SUPPORT_FLOOR = 1e-17  # series kernel keeps |C_n| above this share of the peak
 # float matrix, below the C allocator's 128 KiB threshold for mapping fresh
 # pages, so the blocks are reused from the heap and peak memory stays flat.
 _CHUNK_ENTRIES = 1 << 13
+# Largest phase W_n |tau| a kernel takes.  The rounding of a double phase x
+# is about |x| 2^-52, so up to 2^40 the cos and sin are off by at most
+# 2^-12 = 2.4e-4 rad; past it they soon have no correct digit.
+_MAX_PHASE = 2.0 ** 40
 
 
 class RabiMode(enum.Enum):
@@ -58,7 +62,7 @@ def rabi_frequencies(n_max: int, k: int, mode: RabiMode) -> np.ndarray:
     n = np.arange(n_max + 1, dtype=float)
     if mode is RabiMode.QUADRATIC:
         if k != 4:
-            raise QuadraticRequiresK4(f"quadratic mode is defined for k=4, got k={k}")
+            raise JcmError(f"quadratic mode is defined for k=4, got k={k}")
         return n * n + 5.0 * n + 5.0
     prod = np.ones_like(n)
     for j in range(1, k + 1):
@@ -90,9 +94,9 @@ class ModelParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise JcmError("k must be >= 1")
         if self.cutoff < self.k:
-            raise ValueError("cutoff must be >= k")
+            raise JcmError("cutoff must be >= k")
         _check_tail(self.alpha, self.cutoff - self.k, self.tail_tol)
         for name, arr in (
             ("amplitudes", _normalized_amplitudes(self.alpha, self.cutoff)),
@@ -172,21 +176,21 @@ class FieldRank2:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def purity(self) -> float:
-        """Tr(rho_F^2) = ||u||^4 + ||v||^4 + 2|<u|v>|^2."""
-        nu = float(np.vdot(self.u, self.u).real)
-        nv = float(np.vdot(self.v, self.v).real)
-        return nu * nu + nv * nv + 2.0 * abs(np.vdot(self.u, self.v)) ** 2
 
-    def dense(self) -> np.ndarray:
-        """Dense matrix |u><u| + |v><v| (for small-cutoff cross-checks)."""
-        return np.outer(self.u, np.conj(self.u)) + np.outer(self.v, np.conj(self.v))
+def _check_time(params: ModelParams, tau_abs: float) -> None:
+    """Refuse a largest time ``tau_abs`` = max |tau| that is not finite, or
+    whose largest phase W_n tau_abs passes ``_MAX_PHASE``."""
+    if not math.isfinite(tau_abs):
+        raise JcmError("tau must be finite")
+    phase = tau_abs * float(params.frequencies[-1])
+    if phase > _MAX_PHASE:
+        raise JcmError(f"tau = {tau_abs:.6g} reaches phase W_n tau = {phase:.3e} rad, "
+                       "past 2^40, where its float rounding exceeds 2.4e-4 rad")
 
 
 def evolve(params: ModelParams, tau: float) -> JointState:
     """Joint state at scaled time tau from the closed-form solution."""
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+    _check_time(params, abs(tau))
     c, freqs = params.amplitudes, params.frequencies
     excited = c * np.cos(freqs * tau)
     ground = np.zeros(params.cutoff + 1, dtype=complex)
@@ -220,8 +224,7 @@ def atom_density_series(params: ModelParams, taus) -> AtomDensity:
     ``_CHUNK_ENTRIES`` entries, and each sum runs along one row (numpy's
     pairwise sum), so no value depends on the blocking."""
     taus = np.asarray(taus, dtype=float).ravel()
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("tau must be finite")
+    _check_time(params, float(np.abs(taus).max(initial=0.0)))
     k = params.k
     c = params.amplitudes
     support = np.flatnonzero(np.abs(c) > _SUPPORT_FLOOR * np.abs(c).max())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams
-from .errors import DegenerateWindow, NonFiniteValue
+from .errors import JcmError
 
 __all__ = [
     "PhaseGrid",
@@ -56,7 +56,7 @@ class PhaseGrid:
         _check_window(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.nx, self.ny):
-            raise ValueError("values must have shape (nx, ny)")
+            raise JcmError("values must have shape (nx, ny)")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -80,10 +80,10 @@ class PhaseGrid:
 
 
 def _check_window(re_min, re_max, im_min, im_max, nx, ny) -> None:
-    """Raise :class:`DegenerateWindow` unless the bounds are ordered (NaN is
+    """Raise :class:`JcmError` unless the bounds are ordered (NaN is
     not) and each axis has at least the two points ``cell_area`` divides by."""
     if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
-        raise DegenerateWindow(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
+        raise JcmError(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
 
 
 def pnd(state: JointState) -> np.ndarray:
@@ -150,10 +150,10 @@ def entropy(rho: AtomDensity) -> float | np.ndarray:
     normalized state's norm cancels and a pure state gives exactly +0.  They
     are clamped to [0, 1] before the logarithm to absorb 1e-15-scale
     negatives; 0 ln 0 is 0.  A non-finite entry raises
-    :class:`NonFiniteValue` instead of reading as a pure state.
+    :class:`JcmError` instead of reading as a pure state.
     """
     if not all(np.all(np.isfinite(x)) for x in (rho.rho11, rho.rho22, rho.rho12)):
-        raise NonFiniteValue(f"non-finite atomic density matrix: {rho}")
+        raise JcmError(f"non-finite atomic density matrix: {rho}")
     p = np.clip(np.array(rho.eigenvalues()) / (rho.rho11 + rho.rho22), 0.0, 1.0)
     # 0 - sum, not -sum: a pure state's +0 sum must not become "-0"
     s = np.clip(0.0 - (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=0), 0.0, LN2)
@@ -169,7 +169,7 @@ def q_grid(
     """Q evaluated on an nx-by-ny rectangular grid over ``window`` =
     (re_min, re_max, im_min, im_max).  Vectorized over the grid points, in
     blocks of ``_Q_BLOCK``; a window too wide for doubles gives non-finite Q
-    and :class:`NonFiniteValue`."""
+    and :class:`JcmError`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
     _check_window(re_min, re_max, im_min, im_max, nx, ny)
     with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
@@ -182,7 +182,7 @@ def q_grid(
             q[block] = _q_block(bc[block], field.u, field.v)
         q = q.reshape(nx, ny)
     if not np.all(np.isfinite(q)):
-        raise NonFiniteValue(f"non-finite Q on window {window} at {nx}x{ny}")
+        raise JcmError(f"non-finite Q on window {window} at {nx}x{ny}")
     return PhaseGrid(
         re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
         nx=nx, ny=ny, values=q,

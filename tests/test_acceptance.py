@@ -234,7 +234,8 @@ def test_criterion_11_oracle_equivalence(acceptance):
     worst_p = 0.0
     for tau in rng.uniform(0.0, 2 * math.pi, size=20):
         state = evolve(small, float(tau))
-        dense = field_rank2(state).dense()
+        u, v = state.excited, state.ground
+        dense = np.outer(u, u.conj()) + np.outer(v, v.conj())
         eigs = np.clip(np.linalg.eigvalsh(dense), 0.0, 1.0)
         s_dense = float(-np.sum(eigs[eigs > 0] * np.log(eigs[eigs > 0])))
         worst_s = max(worst_s, abs(s_dense - entropy(atom_density(state))))

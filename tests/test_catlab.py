@@ -14,7 +14,7 @@ from jcm4.catlab import (
     post_selected_field,
 )
 from jcm4.dynamics import ModelParams, RabiMode, atom_density, evolve, field_rank2
-from jcm4.errors import EmptyGrid, EvenR, NegligibleBranch, TargetsRequireK4
+from jcm4.errors import JcmError
 from jcm4.fock import coherent_state, fidelity, kerr_state
 from jcm4.observables import PhaseGrid, pnd_closed_near_quarter, q_grid
 
@@ -42,11 +42,11 @@ class TestDipOffset:
 
     @pytest.mark.parametrize("r", [0, 2, -4])
     def test_even_rejected(self, r):
-        with pytest.raises(EvenR):
+        with pytest.raises(JcmError, match=f"r must be odd, got {r}"):
             dip_offset(r, NBAR)
 
     def test_positive_nbar_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(JcmError, match="nbar must be > 0"):
             dip_offset(1, 0.0)
 
 
@@ -71,7 +71,7 @@ class TestPostSelection:
         assert fidelity(evolve(params, 0.0).excited, coh) > 1.0 - 1e-12
 
     def test_initial_ground_negligible(self, params):
-        with pytest.raises(NegligibleBranch):
+        with pytest.raises(JcmError, match="outcome 'g' has probability"):
             post_selected_field(evolve(params, 0.0))
 
     def test_downshift_changes_support(self, params):
@@ -124,9 +124,9 @@ class TestTargetsRequireK4:
     @pytest.mark.parametrize("k", [1, 2])
     def test_other_k_refused(self, k):
         params = ModelParams(k=k, alpha=ALPHA50, cutoff=256, mode=RabiMode.EXACT)
-        with pytest.raises(TargetsRequireK4):
+        with pytest.raises(JcmError, match=f"derived for k=4, got k={k}"):
             kerr_fidelity_at_half_period(params)
-        with pytest.raises(TargetsRequireK4):
+        with pytest.raises(JcmError, match=f"derived for k=4, got k={k}"):
             cat_match(params, dip_offset(1, NBAR))
 
 
@@ -181,7 +181,7 @@ class TestDipScan:
         assert values[0] < values[1] < values[2]
 
     def test_requires_three_steps(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(JcmError, match="steps must be >= 3"):
             entropy_dip_scan(params, math.pi / 4, DELTA1, 2)
 
 
@@ -212,9 +212,9 @@ class TestComponentCounting:
         assert sum(masses) <= 1.0 + 1e-6
 
     def test_threshold_fraction_validated(self, grids):
-        with pytest.raises(ValueError):
+        with pytest.raises(JcmError, match=r"threshold_fraction must be in \(0, 1\)"):
             count_components(grids["zero"], 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(JcmError, match=r"threshold_fraction must be in \(0, 1\)"):
             count_components(grids["zero"], 1.0)
 
     def test_empty_grid(self):
@@ -222,7 +222,7 @@ class TestComponentCounting:
             re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0,
             nx=4, ny=4, values=np.zeros((4, 4)),
         )
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(JcmError, match="grid has no positive Q values"):
             count_components(grid, 0.1)
 
 

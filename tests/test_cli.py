@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import jcm4
 from jcm4 import observables
 from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
-from jcm4.errors import ParseError
+from jcm4.errors import JcmError
 
 # small, fast configuration shared by the subcommand tests
 FAST = ["--nbar", "4", "--cutoff", "32"]
@@ -52,7 +53,7 @@ class TestParseTau:
                  "pi/0", "pi/4+3pi/0.0"]
     )
     def test_malformed(self, expr):
-        with pytest.raises(ParseError):
+        with pytest.raises(JcmError, match="tau (expression|term)"):
             parse_tau(expr)
 
     def test_labels_are_filesystem_safe(self):
@@ -176,6 +177,14 @@ class TestQfuncCommand:
         assert data["window"] == [-6.0, 6.0, -6.0, 6.0]
         assert abs(data["riemann_sum"] - 1.0) < 1e-2
         assert len(data["component_masses"]) == 1
+
+    def test_coarsest_resolving_grid_is_kept(self, tmp_path):
+        # at nbar 50 and pi/4 the window sum is 0.99994 at 21x21; 15x15 is
+        # refused (1.132, in TestErrorPaths)
+        rc = main(["qfunc", "--out", str(tmp_path), "--tau", "pi/4", "--resolution", "21"])
+        assert rc == 0
+        data = json.loads((tmp_path / "qfunc_pi_4.json").read_text())
+        assert 1.0 - 1e-4 < data["riemann_sum"] <= 1.0
 
     def test_explicit_window(self, tmp_path):
         rc = main([
@@ -351,27 +360,51 @@ class TestErrorPaths:
         assert rc == 2
         assert not (tmp_path / "pnd_0.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["catcheck", "--k", "1", "--mode", "exact"],
-        ["catcheck", "--r", "2"],
-        ["pnd", "--cutoff", "3", "--tau", "0"],
-        ["pnd", "--tau", "0", "--tau", "pie"],
-        ["pnd", "--tau", "0,1e999"],
-        ["qfunc", "--tau", "0", "--window", "inf"],
-        # refused only when its JSON sidecar meets riemann_sum = inf, after
-        # the CSV is computed
-        ["qfunc", "--cutoff", "32", "--tau", "0", "--window", "1.5e154",
-         "--resolution", "3"],
+    # each argv runs with --nbar 4 unless it sets its own, and the fragment
+    # pins which refusal fired
+    REFUSED = [
+        (["catcheck", "--k", "1", "--mode", "exact"], "derived for k=4, got k=1"),
+        (["catcheck", "--r", "2"], "r must be odd"),
+        (["pnd", "--cutoff", "3", "--tau", "0"], "cutoff must be >= k"),
+        (["pnd", "--tau", "0", "--tau", "pie"], "malformed tau term"),
+        (["pnd", "--tau", "0,1e999"], "tau must be finite"),
+        (["qfunc", "--tau", "0", "--window", "inf"], "window parts must be finite"),
+        # the window sum is inf: the cell area overflows
+        (["qfunc", "--cutoff", "32", "--tau", "0", "--window", "1.5e154",
+          "--resolution", "3"], "Q sums to inf"),
         # the dip window sets its own range, so a time range is refused
-        ["entropy", "--dip-window", "--tau-min", "1", "--tau-max", "2"],
-    ])
-    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, argv):
+        (["entropy", "--dip-window", "--tau-min", "1", "--tau-max", "2"],
+         "takes no --tau-min or --tau-max"),
+        (["pnd", "--tau", "0", "--tail-tol", "0"], "tail_tol must be > 0"),
+        (["pnd", "--tau", "0", "--k", "2"], "quadratic mode is defined for k=4"),
+        (["pnd", "--tau", "0", "--k", "0", "--mode", "exact"], "k must be >= 1"),
+        (["qfunc", "--tau", "0", "--threshold", "1.5"], "threshold_fraction must be in"),
+        (["qfunc", "--tau", "0", "--resolution", "1"], "at 1x1"),
+        (["qfunc", "--tau", "0", "--window=100,110,100,110"], "no positive Q"),
+        (["entropy", "--dip-window", "--steps", "2"], "steps must be >= 3"),
+        (["catcheck", "--nbar", "0"], "nbar must be > 0"),
+        # phases W_n tau past 2^40 have lost their digits
+        (["entropy", "--tau-max", "1e300", "--steps", "3"], r"past 2\^40"),
+        (["catcheck", "--nbar", "1e-30", "--cutoff", "32"], r"past 2\^40"),
+        (["entropy", "--dip-window", "--nbar", "1e-300", "--cutoff", "32",
+          "--steps", "5"], r"past 2\^40"),
+        # Q sums to 5.8e305 and 1.132: the cells do not resolve the state
+        (["qfunc", "--cutoff", "32", "--tau", "0", "--window", "1e154",
+          "--resolution", "3"], "too coarse to resolve"),
+        (["qfunc", "--nbar", "50", "--tau", "pi/4", "--resolution", "15"],
+         "Q sums to 1.13241 over the window"),
+    ]
+
+    @pytest.mark.parametrize("argv,fragment", REFUSED,
+                             ids=[f"argv{i}" for i in range(len(REFUSED))])
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, argv, fragment):
         out = tmp_path / "new" / "dir"
-        rc = main([*argv, "--nbar", "4", "--out", str(out)])
+        rc = main([argv[0], "--nbar", "4", *argv[1:], "--out", str(out)])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert re.search(fragment, captured.err)
         assert not (tmp_path / "new").exists()
 
     def test_allocation_failure_exit_code(self, tmp_path, capsys, monkeypatch):

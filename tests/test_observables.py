@@ -13,7 +13,7 @@ from jcm4.dynamics import (
     evolve,
     field_rank2,
 )
-from jcm4.errors import DegenerateWindow, JcmError, NonFiniteValue
+from jcm4.errors import JcmError
 from jcm4.fock import coherent_amplitudes, coherent_state
 from jcm4.observables import (
     PhaseGrid,
@@ -171,7 +171,7 @@ class TestEntropy:
     def test_rejects_non_finite(self, rho):
         # max(nan, 0.0) is nan and nan > 0.0 is False: unchecked, a NaN
         # matrix would read as a pure state
-        with pytest.raises(JcmError):
+        with pytest.raises(JcmError, match="non-finite atomic density matrix"):
             entropy(rho)
 
 
@@ -219,25 +219,25 @@ class TestQFunction:
 
     def test_degenerate_window(self, params):
         field = field_rank2(evolve(params, 0.0))
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(JcmError, match="window 3.0,3.0,-1.0,1.0 at 10x10"):
             q_grid(field, (3.0, 3.0, -1.0, 1.0), 10, 10)
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(JcmError, match="window -1.0,1.0,-1.0,1.0 at 1x10"):
             q_grid(field, (-1.0, 1.0, -1.0, 1.0), 1, 10)
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(JcmError, match="window nan,1.0,-1.0,1.0 at 10x10"):
             q_grid(field, (math.nan, 1.0, -1.0, 1.0), 10, 10)
 
     def test_phase_grid_shares_the_window_check(self):
         # cell_area divides by nx - 1 and ny - 1
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(JcmError, match="window -1.0,1.0,-1.0,1.0 at 1x3"):
             PhaseGrid(-1.0, 1.0, -1.0, 1.0, nx=1, ny=3, values=np.ones((1, 3)))
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(JcmError, match="window -1.0,1.0,1.0,1.0 at 3x3"):
             PhaseGrid(-1.0, 1.0, 1.0, 1.0, nx=3, ny=3, values=np.ones((3, 3)))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_q_rejected(self, params):
         # the window's width and |beta|^2 overflow in doubles
         field = field_rank2(evolve(params, 0.0))
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(JcmError, match="non-finite Q on window"):
             q_grid(field, (-1e308, 1e308, -1e308, 1e308), 11, 11)
 
 
@@ -299,7 +299,8 @@ class TestDenseMatrixOracle:
         rng = np.random.default_rng(7)
         for tau in rng.uniform(0.0, 2 * math.pi, size=8):
             state = evolve(params, float(tau))
-            dense = field_rank2(state).dense()
+            u, v = state.excited, state.ground
+            dense = np.outer(u, u.conj()) + np.outer(v, v.conj())
             eigs = np.clip(np.linalg.eigvalsh(dense), 0.0, 1.0)
             s_field = float(-np.sum(eigs[eigs > 0] * np.log(eigs[eigs > 0])))
             s_atom = entropy(atom_density(state))
