@@ -1,7 +1,6 @@
 """Four-photon Jaynes-Cummings dynamics in the large photon number regime."""
 
 from .catlab import (
-    DipScan,
     count_components,
     dip_offset,
     entropy_dip_scan,
@@ -37,7 +36,7 @@ from .observables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomDensity", "DipScan", "FieldRank2", "JcmError", "JointState",
+    "AtomDensity", "FieldRank2", "JcmError", "JointState",
     "ModelParams", "PhaseGrid", "RabiMode",
     "atom_density", "atom_density_series", "atomic_inversion", "coherent_state",
     "count_components", "dip_offset", "entropy", "entropy_dip_scan", "evolve",

@@ -11,17 +11,15 @@ phase-space components of a Q grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import JointState, ModelParams, atom_density_series, evolve
+from .dynamics import JointState, ModelParams, atom_density, atom_density_series, evolve
 from .errors import JcmError
 from .fock import DEFAULT_TAIL_TOL, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
-    "DipScan",
     "dip_offset",
     "expected_kerr_state",
     "expected_cat_state",
@@ -103,28 +101,21 @@ def post_selected_field(state: JointState) -> np.ndarray:
     return (state.ground / math.sqrt(norm_sq))[state.k:]
 
 
-@dataclass(frozen=True)
-class DipScan:
-    """Entropy samples over a tau interval and the indices of local minima."""
-
-    taus: np.ndarray
-    entropies: np.ndarray
-    minima: tuple[int, ...]
-
-
 def entropy_dip_scan(
     params: ModelParams, center: float, halfwidth: float, steps: int
-) -> DipScan:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Sample the field entropy on [center - halfwidth, center + halfwidth].
 
-    Local minima are interior grid points strictly below both neighbors.
+    Returns ``(taus, entropies, minima)``: the sample times, the entropy at
+    each, and the indices of the local minima, the interior samples strictly
+    below both neighbors.
     """
     if steps < 3:
         raise JcmError("steps must be >= 3")
     taus = np.linspace(center - halfwidth, center + halfwidth, steps)
     s = entropy(atom_density_series(params, taus))
     minima = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
-    return DipScan(taus=taus, entropies=s, minima=tuple(int(i) for i in minima))
+    return taus, s, tuple(int(i) for i in minima)
 
 
 def _label(mask: np.ndarray) -> np.ndarray:
@@ -192,7 +183,7 @@ def cat_match(params: ModelParams, delta: float) -> dict:
     nominal-superposition fidelity |<cat_raw|field>|^2 (the renormalized
     fidelity times pre_norm^2), which additionally penalizes any drift of
     the branch structure away from the ideal equal-weight cat and therefore
-    degrades as |r| grows.
+    degrades as |r| grows; and, as ``"rho"``, the state's atomic density matrix.
     """
     _require_k4(params)
     state = evolve(params, math.pi / 4.0 + delta)
@@ -204,4 +195,5 @@ def cat_match(params: ModelParams, delta: float) -> dict:
         "fidelity": f_normalized,
         "nominal_fidelity": f_nominal,
         "pre_norm": pre_norm,
+        "rho": atom_density(state),
     }

@@ -11,6 +11,7 @@ quadratic model are destroyed by decimal rounding of tau.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -161,15 +162,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_pnd(cfg: RunConfig, args) -> Files:
-    specs: list[str] = []
-    for chunk in args.tau:
-        specs.extend(s for s in chunk.split(",") if s)
+    specs = [spec for chunk in args.tau for spec in chunk.split(",") if spec]
     if not specs:
         raise JcmError("at least one --tau is required")
     params = cfg.params()
-    dists = [observables.pnd(dynamics.evolve(params, parse_tau(spec))) for spec in specs]
-    return [(f"pnd_{tau_label(spec)}.csv", _csv("n,p", np.arange(len(p)), p))
-            for spec, p in zip(specs, dists)]
+    taus: dict[str, float] = {}  # the first spec of each file label; one label, one time
+    for spec in specs:
+        taus.setdefault(tau_label(spec), parse_tau(spec))
+    dists = {label: observables.pnd(dynamics.evolve(params, tau)) for label, tau in taus.items()}
+    return [(f"pnd_{label}.csv", _csv("n,p", np.arange(len(p)), p))
+            for label, p in dists.items()]
 
 
 def _tau_range(args, default_steps: int) -> np.ndarray:
@@ -193,17 +195,17 @@ def cmd_entropy(cfg: RunConfig, args) -> Files:
         delta1 = catlab.dip_offset(1, cfg.nbar)
         center, halfwidth = math.pi / 4.0, 6.0 * delta1
         steps = args.steps if args.steps is not None else 1201
-        scan = catlab.entropy_dip_scan(params, center, halfwidth, steps)
+        taus, values, minima = catlab.entropy_dip_scan(params, center, halfwidth, steps)
         sidecar = _json({
             "center": center,
             "halfwidth": halfwidth,
             "steps": steps,
             "delta1": delta1,
             "gridlines": {str(r): center + r * delta1 for r in (-5, -3, -1, 1, 3, 5)},
-            "minima_tau": [float(scan.taus[i]) for i in scan.minima],
-            "minima_entropy": [float(scan.entropies[i]) for i in scan.minima],
+            "minima_tau": [float(taus[i]) for i in minima],
+            "minima_entropy": [float(values[i]) for i in minima],
         })
-        return [("entropy_dip.csv", _csv("tau,entropy", scan.taus, scan.entropies)),
+        return [("entropy_dip.csv", _csv("tau,entropy", taus, values)),
                 ("entropy_dip.json", sidecar)]
     taus = _tau_range(args, 801)
     values = observables.entropy(dynamics.atom_density_series(params, taus))
@@ -273,7 +275,7 @@ def cmd_catcheck(cfg: RunConfig, args) -> Files:
     match = catlab.cat_match(params, delta)
 
     rho_quarter = dynamics.atom_density(dynamics.evolve(params, math.pi / 4.0))
-    rho_dip = dynamics.atom_density(dynamics.evolve(params, tau_dip))
+    rho_dip = match["rho"]
     phase = cfg.alpha_phase
     rho12_target = -0.5 * complex(math.cos(4 * phase), -math.sin(4 * phase))
 
@@ -295,7 +297,9 @@ def cmd_catcheck(cfg: RunConfig, args) -> Files:
     return [(f"catcheck_r{args.r}.json", _json(payload))]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``jcm`` parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="jcm",
         description="Four-photon Jaynes-Cummings model: figure data as CSV/JSON.",

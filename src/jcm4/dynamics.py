@@ -125,10 +125,6 @@ class JointState:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.excited, self.excited).real
-                     + np.vdot(self.ground, self.ground).real)
-
 
 @dataclass(frozen=True)
 class AtomDensity:
@@ -201,7 +197,7 @@ def evolve(params: ModelParams, tau: float) -> JointState:
 
 def field_rank2(state: JointState) -> FieldRank2:
     """Reduced field density operator as the two dyads of the joint state."""
-    return FieldRank2(u=state.excited.copy(), v=1j * state.ground)
+    return FieldRank2(u=state.excited, v=1j * state.ground)
 
 
 def atom_density(state: JointState) -> AtomDensity:

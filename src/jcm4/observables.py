@@ -41,49 +41,40 @@ _Q_BLOCK = 4096
 class PhaseGrid:
     """Husimi Q values on a rectangular grid of beta = x + iy.
 
-    ``values[i, j]`` is Q at re = res[i], im = ims[j] (row-major over re).
+    ``values[i, j]`` is Q at re = res[i], im = ims[j] (row-major over re);
+    all three are read-only, and each axis has at least two points.
     """
 
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-    nx: int
-    ny: int
+    res: np.ndarray
+    ims: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        _check_window(self.re_min, self.re_max, self.im_min, self.im_max, self.nx, self.ny)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.nx, self.ny):
-            raise JcmError("values must have shape (nx, ny)")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        for name in ("res", "ims", "values"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if not (self.nx >= 2 and self.ny >= 2 and self.values.shape == (self.nx, self.ny)):
+            raise JcmError(f"values of shape {self.values.shape} on {self.nx}x{self.ny} axes")
 
     @property
-    def res(self) -> np.ndarray:
-        return np.linspace(self.re_min, self.re_max, self.nx)
+    def nx(self) -> int:
+        return len(self.res)
 
     @property
-    def ims(self) -> np.ndarray:
-        return np.linspace(self.im_min, self.im_max, self.ny)
+    def ny(self) -> int:
+        return len(self.ims)
 
     @property
     def cell_area(self) -> float:
-        dx = (self.re_max - self.re_min) / (self.nx - 1)
-        dy = (self.im_max - self.im_min) / (self.ny - 1)
+        # as floats: linspace pins the ends, and past the double range is inf, no warning
+        dx = (float(self.res[-1]) - float(self.res[0])) / (self.nx - 1)
+        dy = (float(self.ims[-1]) - float(self.ims[0])) / (self.ny - 1)
         return dx * dy
 
     def riemann_sum(self) -> float:
         """Integral of Q over the window, midpoint-style cell sum."""
         return float(self.values.sum() * self.cell_area)
-
-
-def _check_window(re_min, re_max, im_min, im_max, nx, ny) -> None:
-    """Raise :class:`JcmError` unless the bounds are ordered (NaN is
-    not) and each axis has at least the two points ``cell_area`` divides by."""
-    if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
-        raise JcmError(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
 
 
 def pnd(state: JointState) -> np.ndarray:
@@ -171,7 +162,9 @@ def q_grid(
     blocks of ``_Q_BLOCK``; a window too wide for doubles gives non-finite Q
     and :class:`JcmError`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
-    _check_window(re_min, re_max, im_min, im_max, nx, ny)
+    # ordered bounds (NaN is not) and the two points per axis cell_area needs
+    if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
+        raise JcmError(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
     with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
         xs = np.linspace(re_min, re_max, nx)
         ys = np.linspace(im_min, im_max, ny)
@@ -183,10 +176,7 @@ def q_grid(
         q = q.reshape(nx, ny)
     if not np.all(np.isfinite(q)):
         raise JcmError(f"non-finite Q on window {window} at {nx}x{ny}")
-    return PhaseGrid(
-        re_min=re_min, re_max=re_max, im_min=im_min, im_max=im_max,
-        nx=nx, ny=ny, values=q,
-    )
+    return PhaseGrid(res=xs, ims=ys, values=q)
 
 
 def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,9 +1,20 @@
 """The traced benchmark runs clean on every workload.
 
-``perfbench/tracing.py`` reads results of the library at its span
-boundaries (``q_grid``'s ``.u``, ``evolve``'s ``.excited``, ``.ground``
-and ``.k``), so a change to those result types can break the traced run
-while every other test passes.  Each workload is run once, briefly, as
+``perfbench/tracing.py`` reads the library at its span boundaries, so a
+change to any of these can break the traced run while every other test
+passes:
+
+- ``q_grid``'s argument, a ``FieldRank2``, through ``.u``, and its
+  result, a ``PhaseGrid``, through ``.nx`` and ``.ny``;
+- ``evolve``'s result, a ``JointState``, through ``.excited``,
+  ``.ground`` and ``.k``;
+- ``coherent_state(alpha, cutoff, tail_tol)``: the tracer reads
+  ``tail_tol`` as the third positional argument, or as the first default;
+- every per-layer name in ``BENCHMARK.json``, such as
+  ``dynamics.atom_density`` or ``catlab.cat_match``: each must remain a
+  public function of its module, or its metric is never reported.
+
+Each workload is run once, briefly, as
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 0.01 --trace 1``.
 """
 

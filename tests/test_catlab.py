@@ -154,27 +154,27 @@ class TestAtomicCoherenceAtDips:
         assert 0.8 < mutual < 1.0
 
 
-class TestDipScan:
+class TestEntropyDips:
     def test_minima_flank_the_quarter_period(self, params):
-        scan = entropy_dip_scan(params, math.pi / 4, 1.2 * DELTA1, 241)
-        assert len(scan.minima) >= 2
-        rel = (scan.taus[list(scan.minima)] - math.pi / 4) / DELTA1
+        taus, _, minima = entropy_dip_scan(params, math.pi / 4, 1.2 * DELTA1, 241)
+        assert len(minima) >= 2
+        rel = (taus[list(minima)] - math.pi / 4) / DELTA1
         # one dip on each side, slightly inside the +/-1 gridlines
         assert np.any((rel > 0.8) & (rel < 1.1))
         assert np.any((rel < -0.8) & (rel > -1.1))
 
     def test_quarter_period_is_local_maximum(self, params):
-        scan = entropy_dip_scan(params, math.pi / 4, 0.2 * DELTA1, 41)
+        _, entropies, _ = entropy_dip_scan(params, math.pi / 4, 0.2 * DELTA1, 41)
         mid = 20
-        assert abs(scan.entropies[mid] - 0.6931) < 0.01
-        assert scan.entropies[mid] >= scan.entropies.min()
+        assert abs(entropies[mid] - 0.6931) < 0.01
+        assert entropies[mid] >= entropies.min()
 
     def test_dip_depth_ordering(self, params):
         values = [
             min(
                 entropy_dip_scan(
                     params, math.pi / 4 + r * DELTA1, 0.3 * DELTA1, 61
-                ).entropies
+                )[1]
             )
             for r in (1, 3, 5)
         ]
@@ -218,10 +218,8 @@ class TestComponentCounting:
             count_components(grids["zero"], 1.0)
 
     def test_empty_grid(self):
-        grid = PhaseGrid(
-            re_min=-1.0, re_max=1.0, im_min=-1.0, im_max=1.0,
-            nx=4, ny=4, values=np.zeros((4, 4)),
-        )
+        axis = np.linspace(-1.0, 1.0, 4)
+        grid = PhaseGrid(res=axis, ims=axis, values=np.zeros((4, 4)))
         with pytest.raises(JcmError, match="grid has no positive Q values"):
             count_components(grid, 0.1)
 
@@ -253,8 +251,8 @@ def masked_grid(mask, seed):
     weights = np.random.default_rng(seed).uniform(0.5, 1.0, mask.shape)
     rows, cols = mask.shape
     values = np.where(mask, weights, 0.0)
-    return PhaseGrid(re_min=0.0, re_max=float(rows), im_min=0.0, im_max=float(cols),
-                     nx=rows, ny=cols, values=values)
+    return PhaseGrid(res=np.linspace(0.0, rows, rows), ims=np.linspace(0.0, cols, cols),
+                     values=values)
 
 
 def mask_from(picture):

@@ -13,12 +13,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcm4
-from jcm4 import observables
+from jcm4 import catlab, dynamics, observables
 from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
 from jcm4.errors import JcmError
 
 # small, fast configuration shared by the subcommand tests
 FAST = ["--nbar", "4", "--cutoff", "32"]
+
+
+def count_evolve(monkeypatch):
+    """Patch ``evolve`` at each module that binds it; return the list of
+    the times it is called at."""
+    evolve, times = dynamics.evolve, []
+
+    def counted(params, tau):
+        times.append(tau)
+        return evolve(params, tau)
+
+    for module in (dynamics, catlab):
+        monkeypatch.setattr(module, "evolve", counted)
+    return times
 
 
 class TestParseTau:
@@ -105,6 +119,16 @@ class TestPndCommand:
         lines = (tmp_path / "pnd_pi_4.csv").read_text().splitlines()[1:]
         got = np.array([float(line.split(",")[1]) for line in lines])
         assert np.array_equal(got, expected)
+
+    def test_repeated_time_evolved_once(self, tmp_path, capsys, monkeypatch):
+        # specs of one file label parse to one time; the first is kept
+        times = count_evolve(monkeypatch)
+        rc = main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "pi/4,pi/4",
+                   "--tau", "PI/4", "--tau", "2*pi/8", "--tau", "2pi/8"])
+        assert rc == 0
+        assert times == [math.pi / 4, math.pi / 4]
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / "pnd_pi_4.csv"), str(tmp_path / "pnd_2pi_8.csv")]
 
     def test_large_nbar_writes_finite_values(self, tmp_path):
         rc = main(["pnd", "--nbar", "2000", "--cutoff", "2400",
@@ -254,6 +278,13 @@ class TestCatcheckCommand:
                                                           math.sin(4 * phase))
             assert abs(rho12.real + 0.5) < 0.05
             assert abs(rho12.imag) < 0.01
+
+    def test_each_special_time_evolved_once(self, tmp_path, monkeypatch):
+        # pi/2 for the Kerr state, pi/4 + delta_1 for the cat and the dip
+        # density, pi/4 for the quarter-period entropy
+        times = count_evolve(monkeypatch)
+        assert main(["catcheck", *FAST, "--out", str(tmp_path)]) == 0
+        assert times == [math.pi / 2, math.pi / 4 + math.pi / 64, math.pi / 4]
 
     def test_even_r_rejected(self, tmp_path):
         rc = main(["catcheck", *FAST, "--out", str(tmp_path), "--r", "2"])
@@ -427,6 +458,7 @@ class TestErrorPaths:
         ["qfunc", "--tau", "pi/4", "--resolution", "9"],
         ["inversion", "--steps", "5"],
         ["catcheck"],
+        ["pnd", "--tau", "pi/4,pi/4", "--tau", "PI/4", "--tau", "2*pi/8", "--tau", "2pi/8"],
     ])
     def test_printed_paths_are_the_files_written(self, tmp_path, capsys, argv):
         assert main([*argv, *FAST, "--out", str(tmp_path)]) == 0
@@ -456,6 +488,27 @@ class TestCsvWriter:
         expected = "n,a,b\n" + "".join(
             ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns))
         assert "".join(_csv("n,a,b", *columns)) == expected
+
+
+def test_reused_parser_matches_a_fresh_run(tmp_path, capsys):
+    # main builds its parser once per process: neither an argv that argparse
+    # rejects nor a refused run may leave a trace in it
+    with pytest.raises(SystemExit) as rejected:
+        main(["pnd", *FAST, "--tau", "0", "--bogus"])
+    assert rejected.value.code == 2
+    assert main(["pnd", *FAST, "--tau", "pi/", "--out", str(tmp_path / "refused")]) == 2
+    argv = ["pnd", "--nbar", "9", "--cutoff", "64", "--tau", "pi/8,pi/3"]
+    assert main([*argv, "--out", str(tmp_path / "reused")]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(jcm4.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", "import sys, jcm4.cli; sys.exit(jcm4.cli.main())",
+                    *argv, "--out", str(tmp_path / "fresh")], env=env, check=True,
+                   capture_output=True)
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    names = sorted(os.listdir(fresh))
+    assert sorted(os.listdir(reused)) == names == ["pnd_pi_3.csv", "pnd_pi_8.csv"]
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "reused"]  # the refused run wrote nothing
 
 
 def test_json_refuses_non_finite():

@@ -226,12 +226,17 @@ class TestQFunction:
         with pytest.raises(JcmError, match="window nan,1.0,-1.0,1.0 at 10x10"):
             q_grid(field, (math.nan, 1.0, -1.0, 1.0), 10, 10)
 
-    def test_phase_grid_shares_the_window_check(self):
+    def test_phase_grid_checks_its_shape(self):
+        axis = np.linspace(-1.0, 1.0, 3)
         # cell_area divides by nx - 1 and ny - 1
-        with pytest.raises(JcmError, match="window -1.0,1.0,-1.0,1.0 at 1x3"):
-            PhaseGrid(-1.0, 1.0, -1.0, 1.0, nx=1, ny=3, values=np.ones((1, 3)))
-        with pytest.raises(JcmError, match="window -1.0,1.0,1.0,1.0 at 3x3"):
-            PhaseGrid(-1.0, 1.0, 1.0, 1.0, nx=3, ny=3, values=np.ones((3, 3)))
+        with pytest.raises(JcmError, match=r"values of shape \(1, 3\) on 1x3 axes"):
+            PhaseGrid(res=np.zeros(1), ims=axis, values=np.ones((1, 3)))
+        with pytest.raises(JcmError, match=r"values of shape \(3, 2\) on 3x3 axes"):
+            PhaseGrid(res=axis, ims=axis, values=np.ones((3, 2)))
+        grid = PhaseGrid(res=axis, ims=axis, values=np.ones((3, 3)))
+        for arr in (grid.res, grid.ims, grid.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_q_rejected(self, params):
