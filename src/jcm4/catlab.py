@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import JointState, ModelParams, atom_density, atom_density_series, evolve
 from .errors import JcmError
-from .fock import DEFAULT_TAIL_TOL, fidelity, kerr_state
+from .fock import fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
@@ -45,24 +45,27 @@ def dip_offset(r: int, nbar: float) -> float:
     return r * math.pi / (16.0 * nbar)
 
 
-def expected_kerr_state(
-    alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
+def _kerr_target(params: ModelParams, theta: float, gamma: float) -> np.ndarray:
+    """|alpha e^{i theta}, gamma> over the downshifted field's |0>..|cutoff - k>,
+    from the model's C_n by C_n(alpha e^{i theta}) = C_n(alpha) e^{i n theta},
+    renormalized over that range."""
+    _require_k4(params)
+    c = params.amplitudes[:params.cutoff - params.k + 1]
+    rotated = c * np.exp(1j * theta * np.arange(len(c)))
+    return kerr_state(rotated / np.linalg.norm(rotated), gamma)
+
+
+def expected_kerr_state(params: ModelParams) -> np.ndarray:
     """Predicted field at half period after detecting the atom in |g>:
     the Kerr state |-alpha, pi>.
 
     The simulated ground branch lives on |n+4>; compare against this state
     only after the 4-step downshift of :func:`post_selected_field`.
     """
-    return kerr_state(-alpha, math.pi, cutoff, tail_tol)
+    return _kerr_target(params, math.pi, math.pi)
 
 
-def expected_cat_state(
-    alpha: complex,
-    delta: float,
-    cutoff: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[np.ndarray, float]:
+def expected_cat_state(params: ModelParams, delta: float) -> tuple[np.ndarray, float]:
     """Equal superposition of two Kerr states predicted at tau = pi/4 + delta.
 
     With d = delta and tau = pi/4 + d the target is
@@ -81,10 +84,9 @@ def expected_cat_state(
     """
     d = delta
     tau = math.pi / 4.0 + d
-    branch_plus = kerr_state(-1j * alpha * np.exp(+6j * d), math.pi / 2 + 2 * d,
-                             cutoff, tail_tol)
-    branch_minus = kerr_state(+1j * alpha * np.exp(-6j * d), -math.pi / 2 - 2 * d,
-                              cutoff, tail_tol)
+    # -i alpha e^{+i6d} = alpha e^{i(6d - pi/2)}, and +i alpha e^{-i6d} its mirror
+    branch_plus = _kerr_target(params, 6 * d - math.pi / 2, math.pi / 2 + 2 * d)
+    branch_minus = _kerr_target(params, math.pi / 2 - 6 * d, -math.pi / 2 - 2 * d)
     raw = (np.exp(5j * tau) * branch_plus
            - np.exp(-5j * tau) * branch_minus) / math.sqrt(2.0)
     pre_norm = float(np.linalg.norm(raw))
@@ -152,8 +154,8 @@ def count_components(grid: PhaseGrid, threshold_fraction: float) -> tuple[float,
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise JcmError("threshold_fraction must be in (0, 1)")
-    peak = float(grid.values.max(initial=0.0))
-    if grid.values.size == 0 or peak <= 0.0:
+    peak = float(grid.values.max())
+    if peak <= 0.0:
         raise JcmError("grid has no positive Q values")
     labels = _label(grid.values > threshold_fraction * peak)
     masses = np.bincount(labels.ravel(), weights=grid.values.ravel())[1:] * grid.cell_area
@@ -169,11 +171,8 @@ def _require_k4(params: ModelParams) -> None:
 def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     """Fidelity of the downshifted ground branch at tau = pi/2 with the
     predicted Kerr state |-alpha, pi> (1 up to rounding in quadratic mode)."""
-    _require_k4(params)
-    state = evolve(params, math.pi / 2.0)
-    field = post_selected_field(state)
-    target = expected_kerr_state(params.alpha, len(field) - 1, params.tail_tol)
-    return fidelity(field, target)
+    target = expected_kerr_state(params)
+    return fidelity(post_selected_field(evolve(params, math.pi / 2.0)), target)
 
 
 def cat_match(params: ModelParams, delta: float) -> dict:
@@ -185,11 +184,9 @@ def cat_match(params: ModelParams, delta: float) -> dict:
     the branch structure away from the ideal equal-weight cat and therefore
     degrades as |r| grows; and, as ``"rho"``, the state's atomic density matrix.
     """
-    _require_k4(params)
+    cat, pre_norm = expected_cat_state(params, delta)
     state = evolve(params, math.pi / 4.0 + delta)
-    field = post_selected_field(state)
-    cat, pre_norm = expected_cat_state(params.alpha, delta, len(field) - 1, params.tail_tol)
-    f_normalized = fidelity(field, cat)
+    f_normalized = fidelity(post_selected_field(state), cat)
     f_nominal = min(pre_norm ** 2 * f_normalized, 1.0)
     return {
         "fidelity": f_normalized,

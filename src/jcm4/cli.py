@@ -3,9 +3,10 @@
 Usage:  jcm <subcommand> [--nbar R] [--mode exact|quadratic] [--cutoff N]
         [--tau EXPR] [--out DIR] [--config FILE] ...
 
-Symbolic times like ``pi/8-pi/24000`` are parsed to exact rationals of pi
-before any floating evaluation, because the special-time identities of the
-quadratic model are destroyed by decimal rounding of tau.
+The pi terms of a time like ``pi/8-pi/24000`` are summed as one exact
+fraction of pi, not as rounded decimals, which break the quadratic model's
+special-time identities.  The time is still one double, and every kernel
+rounds its phases W_n tau in floats, an error that grows like nbar^2.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ def parse_tau(expr: str) -> float:
     """Parse a symbolic time expression (sums of p*pi/q terms and reals).
 
     The pi-multiples are accumulated as an exact Fraction and multiplied by
-    pi once at the end; plain numeric terms are summed separately.
+    pi once at the end; plain numeric terms, which alone may carry an
+    exponent (``1e-5``), are summed separately.
     """
     text = expr.strip().lower().replace(" ", "")
     if not text:
         raise JcmError("empty tau expression")
-    # split into signed terms
-    pieces = re.findall(r"[+-]?[^+-]+", text)
+    # split into signed terms, but not at the sign of an exponent (1e-5)
+    pieces = re.findall(r"[+-]?(?:\de[+-]|[^+-])+", text)
     if "".join(pieces) != text:
         raise JcmError(f"malformed tau expression: {expr!r}")
     pi_part = Fraction(0)

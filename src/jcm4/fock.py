@@ -15,6 +15,10 @@ relative over nbar +/- 5 sqrt(nbar) at nbar = 50, 1450, 5000 and 2e5.  The
 only limit is memory: for the default tail tolerance the cutoff must clear
 nbar by about 6.2 sqrt(nbar) at large nbar, and one array of cutoff + 1
 entries is built.
+
+:func:`kerr_state` builds no state; it phases the amplitudes it is given.  The
+model's Kerr and cat targets (``catlab``) rotate the C_n of ``ModelParams``
+and call no :func:`coherent_state`.
 """
 
 from __future__ import annotations
@@ -122,21 +126,16 @@ def coherent_state(
     return _normalized_amplitudes(alpha, cutoff), tail
 
 
-def kerr_state(
-    alpha: complex, gamma: float, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> np.ndarray:
-    """Coherent state dressed with the quadratic phase e^{i gamma n(n-1)/2}.
+def kerr_state(amplitudes: np.ndarray, gamma: float) -> np.ndarray:
+    """``amplitudes`` times the Kerr phase e^{i gamma n(n-1)/2}: |alpha> -> |alpha, gamma>.
 
-    The modulus of every amplitude equals the coherent-state modulus; gamma is
-    reduced mod 2*pi first (exact for integer n(n-1)/2), which keeps the phase
-    accurate for the large quantum numbers near a 256-photon cutoff.
+    gamma is reduced mod 2*pi first (exact for integer n(n-1)/2), which keeps
+    the phase accurate for the large quantum numbers near a 256-photon cutoff.
     """
-    amps, _ = coherent_state(alpha, cutoff, tail_tol)
-    n = np.arange(cutoff + 1, dtype=np.int64)
+    n = np.arange(len(amplitudes), dtype=np.int64)
     half_pairs = (n * (n - 1)) // 2
     g = math.fmod(gamma, 2.0 * math.pi)
-    phases = np.exp(1j * g * half_pairs)
-    return amps * phases
+    return amplitudes * np.exp(1j * g * half_pairs)
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:

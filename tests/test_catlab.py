@@ -50,16 +50,23 @@ class TestDipOffset:
             dip_offset(1, 0.0)
 
 
+@pytest.fixture(scope="module")
+def params128():
+    # targets over |0>..|128>, the downshifted range of a cutoff-132 model
+    return ModelParams(k=4, alpha=ALPHA50, cutoff=132)
+
+
 class TestHalfPeriodKerr:
-    def test_moduli_match_coherent(self):
-        target = expected_kerr_state(ALPHA50, 128)
+    def test_moduli_match_coherent(self, params128):
+        target = expected_kerr_state(params128)
         coh, _ = coherent_state(ALPHA50, 128)
         diff = np.abs(np.abs(target) - np.abs(coh))
         assert np.max(diff) < 1e-12
 
-    def test_is_kerr_of_negated_amplitude(self):
-        target = expected_kerr_state(ALPHA50, 128)
-        assert fidelity(target, kerr_state(-ALPHA50, math.pi, 128)) == 1.0
+    def test_is_kerr_of_negated_amplitude(self, params128):
+        target = expected_kerr_state(params128)
+        negated, _ = coherent_state(-ALPHA50, 128)
+        assert fidelity(target, kerr_state(negated, math.pi)) == 1.0
 
     def test_simulated_ground_branch_matches(self, params):
         assert kerr_fidelity_at_half_period(params) > 1.0 - 1e-8
@@ -85,7 +92,8 @@ class TestPostSelection:
 
 class TestCatState:
     def test_pre_norm_close_to_one_at_r1(self):
-        _, pre_norm = expected_cat_state(ALPHA50, dip_offset(1, NBAR), 256)
+        params = ModelParams(k=4, alpha=ALPHA50, cutoff=260)
+        _, pre_norm = expected_cat_state(params, dip_offset(1, NBAR))
         assert abs(pre_norm - 1.0) < 1e-3
 
     def test_fidelity_with_simulated_field(self, params):
@@ -103,7 +111,7 @@ class TestCatState:
         # up with field index n + 4.  The residual is the lag-4 Poisson
         # difference |C_n|^2 - |C_{n+4}|^2, about 2e-2 at worst
         delta = dip_offset(1, NBAR)
-        cat, _ = expected_cat_state(ALPHA50, delta, 256)
+        cat, _ = expected_cat_state(ModelParams(k=4, alpha=ALPHA50, cutoff=260), delta)
         coh, _ = coherent_state(ALPHA50, 256)
         closed = pnd_closed_near_quarter(np.abs(coh) ** 2, delta)
         got = np.abs(cat) ** 2
@@ -120,6 +128,42 @@ class TestCatState:
             assert dev <= max(0.02, abs(r) * math.pi / (4 * NBAR) * 1.01)
 
 
+def reference_kerr(alpha, gamma, cutoff):
+    """|alpha, gamma> over |0>..|cutoff>, from its own coherent state."""
+    return kerr_state(coherent_state(alpha, cutoff)[0], gamma)
+
+
+def reference_cat(alpha, d, cutoff):
+    """The cat of ``expected_cat_state``, its branches built from their own
+    coherent states; returns it normalized and its norm before."""
+    tau = math.pi / 4 + d
+    plus = reference_kerr(-1j * alpha * np.exp(6j * d), math.pi / 2 + 2 * d, cutoff)
+    minus = reference_kerr(1j * alpha * np.exp(-6j * d), -math.pi / 2 - 2 * d, cutoff)
+    raw = (np.exp(5j * tau) * plus - np.exp(-5j * tau) * minus) / math.sqrt(2.0)
+    pre_norm = float(np.linalg.norm(raw))
+    return raw / pre_norm, pre_norm
+
+
+class TestTargetsMatchOwnCoherentStates:
+    # the targets rotate the model's C_n by e^{i n theta}; building each
+    # branch from its own coherent state gives the same state to rounding,
+    # which grows with the rotated phase n theta
+    @pytest.mark.parametrize("nbar,cutoff,tol", [(50, 256, 1e-13), (5000, 5470, 1e-12)])
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_against_reference(self, nbar, cutoff, tol, phase):
+        alpha = math.sqrt(nbar) * complex(math.cos(phase), math.sin(phase))
+        params = ModelParams(k=4, alpha=alpha, cutoff=cutoff)
+        n = cutoff - 4
+        kerr = expected_kerr_state(params)
+        assert np.max(np.abs(kerr - reference_kerr(-alpha, math.pi, n))) < tol
+        for r in (1, -3, 5):
+            d = dip_offset(r, nbar)
+            cat, pre_norm = expected_cat_state(params, d)
+            ref, ref_pre_norm = reference_cat(alpha, d, n)
+            assert np.max(np.abs(cat - ref)) < tol
+            assert abs(pre_norm - ref_pre_norm) < 1e-13
+
+
 class TestTargetsRequireK4:
     @pytest.mark.parametrize("k", [1, 2])
     def test_other_k_refused(self, k):
@@ -128,6 +172,8 @@ class TestTargetsRequireK4:
             kerr_fidelity_at_half_period(params)
         with pytest.raises(JcmError, match=f"derived for k=4, got k={k}"):
             cat_match(params, dip_offset(1, NBAR))
+        with pytest.raises(JcmError, match=f"derived for k=4, got k={k}"):
+            expected_kerr_state(params)
 
 
 class TestAtomicCoherenceAtDips:

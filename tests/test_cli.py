@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jcm4
-from jcm4 import catlab, dynamics, observables
+from jcm4 import catlab, dynamics, fock, observables
 from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
 from jcm4.errors import JcmError
 
@@ -50,6 +50,10 @@ class TestParseTau:
             ("pi/2+0.125", math.pi / 2 + 0.125),
             ("-pi/4", -math.pi / 4),
             (" pi / 8 ", math.pi / 8),
+            ("1e-5", 1e-5),
+            ("2.5E+3", 2500.0),
+            ("pi/4+1e-3", math.pi / 4 + 1e-3),
+            ("-1e-3", -1e-3),
         ],
     )
     def test_values(self, expr, value):
@@ -64,7 +68,7 @@ class TestParseTau:
 
     @pytest.mark.parametrize(
         "expr", ["", "pie", "pi/", "pi//4", "2x", "pi/4+", "++pi", "pi/0x3",
-                 "pi/0", "pi/4+3pi/0.0"]
+                 "pi/0", "pi/4+3pi/0.0", "1e", "1e-", "1e-pi", "2e-3pi"]
     )
     def test_malformed(self, expr):
         with pytest.raises(JcmError, match="tau (expression|term)"):
@@ -285,6 +289,18 @@ class TestCatcheckCommand:
         times = count_evolve(monkeypatch)
         assert main(["catcheck", *FAST, "--out", str(tmp_path)]) == 0
         assert times == [math.pi / 2, math.pi / 4 + math.pi / 64, math.pi / 4]
+
+    def test_no_coherent_state_rebuilt(self, tmp_path, monkeypatch):
+        # the Kerr and cat targets rotate the amplitudes ModelParams built
+        calls, built = [], fock.coherent_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return built(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "coherent_state", counted)
+        assert main(["catcheck", *FAST, "--out", str(tmp_path)]) == 0
+        assert calls == []
 
     def test_even_r_rejected(self, tmp_path):
         rc = main(["catcheck", *FAST, "--out", str(tmp_path), "--r", "2"])

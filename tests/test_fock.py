@@ -63,21 +63,21 @@ def test_non_finite_tolerance(tail_tol):
 
 def test_kerr_zero_gamma_is_coherent():
     coh, _ = coherent_state(2.0, 64)
-    kerr = kerr_state(2.0, 0.0, 64)
+    kerr = kerr_state(coh, 0.0)
     assert np.max(np.abs(kerr - coh)) == 0.0
 
 
 def test_kerr_two_pi_is_coherent():
     # n(n-1)/2 pairs are integers, so a 2*pi phase step is the identity
     coh, _ = coherent_state(ALPHA50, 256)
-    kerr = kerr_state(ALPHA50, 2.0 * math.pi, 256)
+    kerr = kerr_state(coh, 2.0 * math.pi)
     assert np.max(np.abs(kerr - coh)) < 1e-12
 
 
 def test_kerr_pi_signs():
     # e^{i pi n(n-1)/2} = (-1)^{n(n-1)/2}, checked term by term
     coh, _ = coherent_state(ALPHA50, 256)
-    kerr = kerr_state(ALPHA50, math.pi, 256)
+    kerr = kerr_state(coh, math.pi)
     n = np.arange(257, dtype=np.int64)
     signs = np.where(((n * (n - 1)) // 2) % 2 == 0, 1.0, -1.0)
     assert np.max(np.abs(kerr - signs * coh)) < 1e-9
@@ -86,7 +86,7 @@ def test_kerr_pi_signs():
 def test_kerr_modulus_preservation():
     coh, _ = coherent_state(ALPHA50, 256)
     for gamma in (0.1, math.pi / 2, math.pi, 2.7):
-        kerr = kerr_state(ALPHA50, gamma, 256)
+        kerr = kerr_state(coh, gamma)
         diff = np.abs(np.abs(kerr) - np.abs(coh))
         assert np.max(diff) < 1e-12
 
@@ -99,7 +99,7 @@ def test_phase_identity_behind_half_period_state():
     assert np.all(lhs == rhs)
     # hence |-alpha, pi> carries C_n(alpha) (-1)^{n(n+1)/2} up to global phase
     coh, _ = coherent_state(ALPHA50, 128)
-    kerr = kerr_state(-ALPHA50, math.pi, 128)
+    kerr = kerr_state(coherent_state(-ALPHA50, 128)[0], math.pi)
     signs = np.where(lhs[:129] == 0, 1.0, -1.0)
     assert fidelity(kerr, signs * coh) > 1.0 - 1e-12
 
@@ -114,7 +114,7 @@ def test_overlap_self_and_mismatch():
 
 def test_overlap_kerr_zero_gamma():
     a, _ = coherent_state(2.0, 64)
-    assert abs(overlap(a, kerr_state(2.0, 0.0, 64)) - 1.0) < 1e-12
+    assert abs(overlap(a, kerr_state(a, 0.0)) - 1.0) < 1e-12
 
 
 def test_opposite_coherent_states_orthogonal():
@@ -125,7 +125,7 @@ def test_opposite_coherent_states_orthogonal():
 
 def test_fidelity_properties():
     a, _ = coherent_state(2.0, 64)
-    b = kerr_state(2.0, 0.7, 64)
+    b = kerr_state(a, 0.7)
     assert fidelity(a, a) == 1.0
     assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-14
     assert 0.0 <= fidelity(a, b) <= 1.0
@@ -136,7 +136,7 @@ def test_fidelity_properties():
 def test_fidelity_coherent_vs_kerr_high_precision_oracle():
     # direct 50-digit sum of sum_n P_n e^{-i (pi/2) n(n-1)/2} with Poisson P_n
     a, _ = coherent_state(ALPHA50, 256)
-    b = kerr_state(ALPHA50, math.pi / 2, 256)
+    b = kerr_state(a, math.pi / 2)
     got = fidelity(a, b)
     with mp.workdps(50):
         acc = mp.mpc(0)

@@ -4,8 +4,8 @@ of ``jcm`` commands writes.
 The test regenerates the files through ``cli.main`` and names each file
 whose hash differs from ``golden/sha256sums`` (or that is missing or new).
 A change that moves output bytes on purpose rewrites that file in the same
-commit, with ``python tests/test_golden.py``, and names each moved file and
-field in CHANGES.md.
+commit, with ``python tests/test_golden.py`` (no arguments; it prints each
+file whose hash moved), and names each moved file and field in CHANGES.md.
 """
 
 import hashlib
@@ -61,8 +61,35 @@ def test_outputs_match_golden_hashes(tmp_path):
     assert not moved, f"output bytes differ from {HASHES.name}: {moved}"
 
 
-if __name__ == "__main__":
+def rewrite(argv: list[str]) -> int:
+    """Regenerate every file and rewrite ``golden/sha256sums``, printing
+    each file whose hash moved, appeared or disappeared.  Takes no
+    arguments: given any, it prints its usage and writes nothing."""
+    if argv:
+        print("usage: python tests/test_golden.py   (rewrites golden/sha256sums; "
+              "takes no arguments)", file=sys.stderr)
+        return 2
+    expected = read_hashes()
     with tempfile.TemporaryDirectory() as tmp:
         hashes = generate(Path(tmp))
+    for name in sorted(expected.keys() | hashes.keys()):
+        if name not in hashes:
+            print(f"gone: {name}", file=sys.stderr)
+        elif name not in expected:
+            print(f"new: {name}", file=sys.stderr)
+        elif expected[name] != hashes[name]:
+            print(f"moved: {name}", file=sys.stderr)
     HASHES.write_text("".join(f"{digest}  {name}\n" for name, digest in hashes.items()))
     print(f"wrote {len(hashes)} hashes to {HASHES}", file=sys.stderr)
+    return 0
+
+
+def test_rewrite_refuses_arguments(capsys):
+    before = HASHES.read_bytes()
+    assert rewrite(["--help"]) == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    assert HASHES.read_bytes() == before
+
+
+if __name__ == "__main__":
+    sys.exit(rewrite(sys.argv[1:]))
