@@ -9,7 +9,11 @@ passes:
 - ``evolve``'s result, a ``JointState``, through ``.excited``,
   ``.ground`` and ``.k``;
 - ``coherent_state(alpha, cutoff, tail_tol)``: the tracer reads
-  ``tail_tol`` as the third positional argument, or as the first default;
+  ``tail_tol`` as the third positional argument, or as the first default.
+  No ``jcm4`` computation calls it any more, so its ``calls`` read 0 and
+  its ``useful_ratio`` 0.0, but it stays public with this signature:
+  ``BENCHMARK.json`` names its metrics, and the traced run fails with a
+  ``KeyError`` on a metric whose function is gone;
 - every per-layer name in ``BENCHMARK.json``, such as
   ``dynamics.atom_density`` or ``catlab.cat_match``: each must remain a
   public function of its module, or its metric is never reported.
