@@ -26,6 +26,8 @@ __all__ = [
     "post_selected_field",
     "entropy_dip_scan",
     "count_components",
+    "cat_match",
+    "kerr_fidelity_at_half_period",
 ]
 
 

@@ -67,7 +67,10 @@ def parse_tau(expr: str) -> float:
             if den == 0:
                 raise JcmError(f"zero denominator in tau term: {piece!r} in {expr!r}")
             pi_part += sign * coef / den
-    return math.pi * pi_part.numerator / pi_part.denominator + real_part
+    try:
+        return math.pi * pi_part.numerator / pi_part.denominator + real_part
+    except OverflowError:
+        raise JcmError(f"tau expression out of the double range: {expr!r}") from None
 
 
 def tau_label(expr: str) -> str:

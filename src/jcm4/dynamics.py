@@ -65,8 +65,11 @@ def rabi_frequencies(n_max: int, k: int, mode: RabiMode) -> np.ndarray:
             raise JcmError(f"quadratic mode is defined for k=4, got k={k}")
         return n * n + 5.0 * n + 5.0
     prod = np.ones_like(n)
-    for j in range(1, k + 1):
-        prod *= n + j
+    with np.errstate(over="ignore"):
+        for j in range(1, k + 1):
+            prod *= n + j
+    if not np.isfinite(prod).all():
+        raise JcmError(f"exact Rabi frequencies at k={k}, cutoff={n_max} overflow a double")
     return np.sqrt(prod)
 
 
@@ -179,7 +182,7 @@ def _check_time(params: ModelParams, tau_abs: float) -> None:
     if not math.isfinite(tau_abs):
         raise JcmError("tau must be finite")
     phase = tau_abs * float(params.frequencies[-1])
-    if phase > _MAX_PHASE:
+    if not phase <= _MAX_PHASE:  # also NaN
         raise JcmError(f"tau = {tau_abs:.6g} reaches phase W_n tau = {phase:.3e} rad, "
                        "past 2^40, where its float rounding exceeds 2.4e-4 rad")
 

@@ -1,5 +1,7 @@
 """The one exception type of the jcm4 package."""
 
+__all__ = ["JcmError"]
+
 
 class JcmError(ValueError):
     """An input the library refuses; the message names the value and the

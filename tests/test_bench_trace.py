@@ -18,10 +18,16 @@ passes:
   ``dynamics.atom_density`` or ``catlab.cat_match``: each must remain a
   public function of its module, or its metric is never reported.
 
-Each workload is run once, briefly, as
+The last pin has a fast, in-process test: each ``<layer>.<function>`` of
+``BENCHMARK.json`` is a function of ``jcm4.<layer>`` listed in its
+``__all__``, and each module's ``__all__`` is exactly the public functions
+and classes it defines.  The rest need a run: each workload is run once,
+briefly, as
 ``python3 perfbench/run.py --workload W --seed 1 --seconds 0.01 --trace 1``.
 """
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -31,6 +37,43 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+# "<layer>.<function>" of every per-function metric, "<layer>.<function>.<metric>"
+PINNED = sorted({m["name"].rpartition(".")[0] for m in DECLARED["per_layer"]
+                 if m["name"].count(".") == 2})
+MODULES = ("fock", "dynamics", "observables", "catlab", "errors")
+
+
+def public_definitions(module) -> list[str]:
+    """Names of the functions and classes ``module`` defines, not _private."""
+    return sorted(
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    )
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_is_the_public_api(name):
+    module = importlib.import_module(f"jcm4.{name}")
+    assert sorted(module.__all__) == public_definitions(module)
+
+
+@pytest.mark.parametrize("pinned", PINNED)
+def test_declared_function_is_public(pinned):
+    layer, _, name = pinned.partition(".")
+    module = importlib.import_module(f"jcm4.{layer}")
+    assert name in public_definitions(module) and inspect.isfunction(getattr(module, name))
+    if pinned != "cli.main":  # cli declares no __all__
+        assert name in module.__all__
+
+
+def test_package_binds_only_its_modules():
+    import jcm4
+    import jcm4.cli  # noqa: F401  (binds every module on the package)
+
+    public = {name: obj for name, obj in vars(jcm4).items() if not name.startswith("_")}
+    assert sorted(public) == sorted(MODULES + ("cli",))
+    assert all(inspect.ismodule(obj) for obj in public.values())
 
 
 @pytest.mark.parametrize("workload", [w["name"] for w in DECLARED["workloads"]])

@@ -19,6 +19,8 @@ from jcm4.errors import JcmError
 
 # small, fast configuration shared by the subcommand tests
 FAST = ["--nbar", "4", "--cutoff", "32"]
+# an integer past the double range (about 1.8e308)
+HUGE = "1" + "0" * 400
 
 
 def count_evolve(monkeypatch):
@@ -68,7 +70,11 @@ class TestParseTau:
 
     @pytest.mark.parametrize(
         "expr", ["", "pie", "pi/", "pi//4", "2x", "pi/4+", "++pi", "pi/0x3",
-                 "pi/0", "pi/4+3pi/0.0", "1e", "1e-", "1e-pi", "2e-3pi"]
+                 "pi/0", "pi/4+3pi/0.0", "1e", "1e-", "1e-pi", "2e-3pi",
+                 # a pi coefficient or denominator past the double range
+                 pytest.param(HUGE + "pi", id="hugepi"),
+                 pytest.param("pi/" + HUGE, id="pi_huge"),
+                 pytest.param("pi/4+" + HUGE + "pi/3", id="pi_4phugepi_3")]
     )
     def test_malformed(self, expr):
         with pytest.raises(JcmError, match="tau (expression|term)"):
@@ -440,6 +446,14 @@ class TestErrorPaths:
           "--resolution", "3"], "too coarse to resolve"),
         (["qfunc", "--nbar", "50", "--tau", "pi/4", "--resolution", "15"],
          "Q sums to 1.13241 over the window"),
+        # exact W_n overflows a double, and 0 * inf would be a NaN phase
+        (["pnd", "--k", "200", "--mode", "exact", "--cutoff", "400", "--tau", "0"],
+         "overflow a double"),
+        (["inversion", "--k", "200", "--mode", "exact", "--cutoff", "400",
+          "--tau-max", "0", "--steps", "3"], "overflow a double"),
+        (["pnd", "--tau", HUGE + "pi"], "out of the double range"),
+        (["pnd", "--tau", "pi/" + HUGE], "out of the double range"),
+        (["entropy", "--tau-max", HUGE + "pi"], "out of the double range"),
     ]
 
     @pytest.mark.parametrize("argv,fragment", REFUSED,

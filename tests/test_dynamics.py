@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -172,6 +173,12 @@ class TestEvolve:
     def test_rejects_non_finite_tau(self):
         with pytest.raises(JcmError, match="tau must be finite"):
             evolve(params50(), math.inf)
+
+    def test_nan_phase_refused(self):
+        # 0 * inf is a NaN phase, and NaN > bound is False: it must still be refused
+        inf_model = SimpleNamespace(frequencies=np.array([1.0, math.inf]))
+        with pytest.raises(JcmError, match=r"past 2\^40"):
+            dynamics._check_time(inf_model, 0.0)
 
     @pytest.mark.parametrize("k,mode", [
         (1, RabiMode.EXACT), (3, RabiMode.EXACT), (4, RabiMode.QUADRATIC)])
