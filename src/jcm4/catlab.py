@@ -11,10 +11,20 @@ phase-space components of a Q grid.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import JointState, ModelParams, atom_density, atom_density_series, evolve
+from .dynamics import (
+    _MAX_PHASE,
+    JointState,
+    ModelParams,
+    Time,
+    TimeGrid,
+    atom_density,
+    atom_density_series,
+    evolve,
+)
 from .errors import JcmError
 from .fock import fidelity, kerr_state
 from .observables import PhaseGrid, entropy
@@ -31,9 +41,10 @@ __all__ = [
 ]
 
 
-def dip_offset(r: int, nbar: float) -> float:
+def dip_offset(r: int, nbar: float) -> Time:
     """Offset delta_r = r pi / (16 nbar), odd r, from the quarter period at
-    which the entanglement dips.
+    which the entanglement dips: an exact :class:`Time` for every float nbar,
+    or the plain double when that Fraction of pi is past the double range.
 
     Leading order in 1/nbar.  Measured in quadratic mode, the true dip
     minima approach r delta_1 (1 - 3.5/nbar), which is 0.93 r delta_1 at
@@ -42,17 +53,26 @@ def dip_offset(r: int, nbar: float) -> float:
     """
     if r % 2 == 0:
         raise JcmError(f"r must be odd, got {r}")
-    if nbar <= 0:
+    if not nbar > 0:
         raise JcmError("nbar must be > 0")
-    return r * math.pi / (16.0 * nbar)
+    try:
+        return Time(Fraction(r) / (16 * Fraction(nbar)))
+    except OverflowError:
+        return r * math.pi / (16.0 * nbar)
 
 
 def _kerr_target(params: ModelParams, theta: float, gamma: float) -> np.ndarray:
     """|alpha e^{i theta}, gamma> over the downshifted field's |0>..|cutoff - k>,
     from the model's C_n by C_n(alpha e^{i theta}) = C_n(alpha) e^{i n theta},
-    renormalized over that range."""
+    renormalized over that range.  Its phases n theta and gamma n(n-1)/2 are
+    taken in floats, so they are bounded like a kernel's (``_MAX_PHASE``)."""
     _require_k4(params)
     c = params.amplitudes[:params.cutoff - params.k + 1]
+    n = len(c) - 1
+    phase = abs(theta) * n + abs(gamma) * n * (n - 1) / 2
+    if not phase <= _MAX_PHASE:
+        raise JcmError(f"Kerr target phases reach {phase:.3e} rad, past 2^40, "
+                       "where their float rounding exceeds 2.4e-4 rad")
     rotated = c * np.exp(1j * theta * np.arange(len(c)))
     return kerr_state(rotated / np.linalg.norm(rotated), gamma)
 
@@ -112,14 +132,15 @@ def entropy_dip_scan(
 
     Returns ``(taus, entropies, minima)``: the sample times, the entropy at
     each, and the indices of the local minima, the interior samples strictly
-    below both neighbors.
+    below both neighbors.  The times are a :class:`TimeGrid`, exact in their
+    pi part when ``center`` and ``halfwidth`` are :class:`Time` values.
     """
     if steps < 3:
         raise JcmError("steps must be >= 3")
-    taus = np.linspace(center - halfwidth, center + halfwidth, steps)
-    s = entropy(atom_density_series(params, taus))
+    grid = TimeGrid(center - halfwidth, center + halfwidth, steps)
+    s = entropy(atom_density_series(params, grid))
     minima = np.flatnonzero((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:])) + 1
-    return taus, s, tuple(int(i) for i in minima)
+    return grid.taus, s, tuple(int(i) for i in minima)
 
 
 def _label(mask: np.ndarray) -> np.ndarray:
@@ -174,7 +195,7 @@ def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     """Fidelity of the downshifted ground branch at tau = pi/2 with the
     predicted Kerr state |-alpha, pi> (1 up to rounding in quadratic mode)."""
     target = expected_kerr_state(params)
-    return fidelity(post_selected_field(evolve(params, math.pi / 2.0)), target)
+    return fidelity(post_selected_field(evolve(params, Time(Fraction(1, 2)))), target)
 
 
 def cat_match(params: ModelParams, delta: float) -> dict:
@@ -187,7 +208,7 @@ def cat_match(params: ModelParams, delta: float) -> dict:
     degrades as |r| grows; and, as ``"rho"``, the state's atomic density matrix.
     """
     cat, pre_norm = expected_cat_state(params, delta)
-    state = evolve(params, math.pi / 4.0 + delta)
+    state = evolve(params, Time(Fraction(1, 4)) + delta)
     f_normalized = fidelity(post_selected_field(state), cat)
     f_nominal = min(pre_norm ** 2 * f_normalized, 1.0)
     return {

@@ -5,8 +5,13 @@ Usage:  jcm <subcommand> [--nbar R] [--mode exact|quadratic] [--cutoff N]
 
 The pi terms of a time like ``pi/8-pi/24000`` are summed as one exact
 fraction of pi, not as rounded decimals, which break the quadratic model's
-special-time identities.  The time is still one double, and every kernel
-rounds its phases W_n tau in floats, an error that grows like nbar^2.
+special-time identities, and the time is carried as that Fraction plus a
+float remainder (``dynamics.Time``); so are the time ranges and the dip
+window (``dynamics.TimeGrid``), delta_1 = pi/(16 nbar) being a Fraction of pi
+for every float nbar.  The kernels reduce the pi part exactly: in quadratic
+mode every phase W_n tau is exact but for the remainder's part W_n rest.
+Only that float part is bounded by 2^40 for one time; a series (its rows
+list the double tau) and exact mode bound W_n |tau| as a whole.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catlab, dynamics, observables
-from .dynamics import ModelParams, RabiMode
+from .dynamics import ModelParams, RabiMode, Time, TimeGrid
 from .errors import JcmError
 
 SCHEMA_VERSION = 1
@@ -37,12 +42,13 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_tau(expr: str) -> float:
+def parse_tau(expr: str) -> Time:
     """Parse a symbolic time expression (sums of p*pi/q terms and reals).
 
-    The pi-multiples are accumulated as an exact Fraction and multiplied by
-    pi once at the end; plain numeric terms, which alone may carry an
-    exponent (``1e-5``), are summed separately.
+    The pi-multiples are accumulated as an exact Fraction, the Time's pi
+    part, and multiplied by pi once for its double; plain numeric terms,
+    which alone may carry an exponent (``1e-5``), are summed as its float
+    remainder.
     """
     text = expr.strip().lower().replace(" ", "")
     if not text:
@@ -68,7 +74,7 @@ def parse_tau(expr: str) -> float:
                 raise JcmError(f"zero denominator in tau term: {piece!r} in {expr!r}")
             pi_part += sign * coef / den
     try:
-        return math.pi * pi_part.numerator / pi_part.denominator + real_part
+        return Time(pi_part, real_part)
     except OverflowError:
         raise JcmError(f"tau expression out of the double range: {expr!r}") from None
 
@@ -171,7 +177,7 @@ def cmd_pnd(cfg: RunConfig, args) -> Files:
     if not specs:
         raise JcmError("at least one --tau is required")
     params = cfg.params()
-    taus: dict[str, float] = {}  # the first spec of each file label; one label, one time
+    taus: dict[str, Time] = {}  # the first spec of each file label; one label, one time
     for spec in specs:
         taus.setdefault(tau_label(spec), parse_tau(spec))
     dists = {label: observables.pnd(dynamics.evolve(params, tau)) for label, tau in taus.items()}
@@ -179,15 +185,12 @@ def cmd_pnd(cfg: RunConfig, args) -> Files:
             for label, p in dists.items()]
 
 
-def _tau_range(args, default_steps: int) -> np.ndarray:
+def _tau_range(args, default_steps: int) -> TimeGrid:
     """--steps times from --tau-min (default 0) to --tau-max (default pi)."""
-    tau_min = parse_tau(args.tau_min) if args.tau_min else 0.0
-    tau_max = parse_tau(args.tau_max) if args.tau_max else math.pi
+    tau_min = parse_tau(args.tau_min) if args.tau_min else Time(0)
+    tau_max = parse_tau(args.tau_max) if args.tau_max else Time(1)
     steps = args.steps if args.steps is not None else default_steps
-    if steps < 2:
-        raise JcmError("steps must be >= 2")
-    with np.errstate(invalid="ignore", over="ignore"):  # the kernel rejects inf/nan
-        return np.linspace(tau_min, tau_max, steps)
+    return TimeGrid(tau_min, tau_max, steps)
 
 
 def cmd_entropy(cfg: RunConfig, args) -> Files:
@@ -198,7 +201,7 @@ def cmd_entropy(cfg: RunConfig, args) -> Files:
                            "it takes no --tau-min or --tau-max")
         catlab._require_k4(params)
         delta1 = catlab.dip_offset(1, cfg.nbar)
-        center, halfwidth = math.pi / 4.0, 6.0 * delta1
+        center, halfwidth = Time(Fraction(1, 4)), 6 * delta1
         steps = args.steps if args.steps is not None else 1201
         taus, values, minima = catlab.entropy_dip_scan(params, center, halfwidth, steps)
         sidecar = _json({
@@ -212,9 +215,9 @@ def cmd_entropy(cfg: RunConfig, args) -> Files:
         })
         return [("entropy_dip.csv", _csv("tau,entropy", taus, values)),
                 ("entropy_dip.json", sidecar)]
-    taus = _tau_range(args, 801)
-    values = observables.entropy(dynamics.atom_density_series(params, taus))
-    return [("entropy.csv", _csv("tau,entropy", taus, values))]
+    grid = _tau_range(args, 801)
+    values = observables.entropy(dynamics.atom_density_series(params, grid))
+    return [("entropy.csv", _csv("tau,entropy", grid.taus, values))]
 
 
 def _parse_window(spec: str | None) -> tuple[float, float, float, float]:
@@ -266,9 +269,9 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
 
 def cmd_inversion(cfg: RunConfig, args) -> Files:
     params = cfg.params()
-    taus = _tau_range(args, 2001)
-    rho = dynamics.atom_density_series(params, taus)
-    return [("inversion.csv", _csv("tau,w", taus, rho.rho22 - rho.rho11))]
+    grid = _tau_range(args, 2001)
+    rho = dynamics.atom_density_series(params, grid)
+    return [("inversion.csv", _csv("tau,w", grid.taus, rho.rho22 - rho.rho11))]
 
 
 def cmd_catcheck(cfg: RunConfig, args) -> Files:
@@ -279,7 +282,7 @@ def cmd_catcheck(cfg: RunConfig, args) -> Files:
     kerr_f = catlab.kerr_fidelity_at_half_period(params)
     match = catlab.cat_match(params, delta)
 
-    rho_quarter = dynamics.atom_density(dynamics.evolve(params, math.pi / 4.0))
+    rho_quarter = dynamics.atom_density(dynamics.evolve(params, Time(Fraction(1, 4))))
     rho_dip = match["rho"]
     phase = cfg.alpha_phase
     rho12_target = -0.5 * complex(math.cos(4 * phase), -math.sin(4 * phase))

@@ -8,6 +8,14 @@ joint wave function stays in the closed form
 with W_n the generalized Rabi frequency of the n-photon sector.  Everything
 in this module evaluates that formula or reduces it to the 2x2 atomic and
 rank-2 field density operators; there is no integrator.
+
+A time is a :class:`Time`, an exact Fraction of pi plus a float remainder,
+or a bare float (all remainder).  Every phase W_n tau is taken by one helper,
+:func:`_phase_factors`, which splits W_n into an integer m_n and a float
+correction c_n (``ModelParams``) and reduces the whole multiple of pi,
+(m_n p mod 2q) pi/q, exactly in integers; only c_n tau + m_n rest is rounded.
+In quadratic mode (c_n = 0) a time p pi/q is therefore exact at any photon
+number, and in exact mode at k = 4 the rounded part is below tau/(2 m_n).
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +31,8 @@ from .errors import JcmError
 from .fock import DEFAULT_TAIL_TOL, _check_tail, _normalized_amplitudes
 
 __all__ = [
+    "Time",
+    "TimeGrid",
     "RabiMode",
     "ModelParams",
     "JointState",
@@ -35,14 +46,104 @@ __all__ = [
 ]
 
 _SUPPORT_FLOOR = 1e-17  # series kernel keeps |C_n| above this share of the peak
-# Entries of one (taus x support) block of the series kernel: 64 KiB per
-# float matrix, below the C allocator's 128 KiB threshold for mapping fresh
-# pages, so the blocks are reused from the heap and peak memory stays flat.
+# Entries of one (taus x support) chunk of the series kernel: 128 KiB of
+# complex phase factors and 64 KiB per float product, which the C allocator
+# reuses from the heap, so peak memory stays flat.
 _CHUNK_ENTRIES = 1 << 13
-# Largest phase W_n |tau| a kernel takes.  The rounding of a double phase x
-# is about |x| 2^-52, so up to 2^40 the cos and sin are off by at most
+# Largest float part of a phase a kernel takes: W_n |tau| for a bare float
+# time or in exact mode, W_n |rest| in quadratic mode, whose pi part is
+# reduced exactly.  For a series it is W_n |tau| in every mode, since its
+# rows are labelled by the double tau.  The rounding of a double phase x is
+# about |x| 2^-52, so up to 2^40 the cos and sin are off by at most
 # 2^-12 = 2.4e-4 rad; past it they soon have no correct digit.
 _MAX_PHASE = 2.0 ** 40
+# Largest denominator q of an exactly reduced pi part: residues below
+# 2q <= 2^31 keep the int64 product (m_n mod 2q)(p mod 2q) below 2^63.  A
+# pi part of larger denominator is rounded to a multiple of pi/2^30, and the
+# difference, at most pi/2^31, joins the float remainder.
+_MAX_DENOMINATOR = 1 << 30
+# Entries of the series kernel's table of in-block phase factors (complex,
+# 256 KiB), which caps the factor period; see :func:`_grid_chunks`.
+_OFFSET_ENTRIES = 1 << 14
+
+
+class Time(float):
+    """A scaled time tau = pi * ``pi_part`` + ``rest``: an exact Fraction of
+    pi plus a float remainder.  As a float it is pi * p / q + rest.
+
+    Float arithmetic on a Time gives a plain float (a bare time, all
+    remainder); the sum and difference of two Times and the product with an
+    int stay exact.  An
+    exact part that would leave a remainder larger than the time itself is
+    dropped, so the float part of a phase is never larger than that of the
+    plain double.
+    """
+
+    __slots__ = ("pi_part", "rest")
+
+    def __new__(cls, pi_part=0, rest: float = 0.0):
+        pi_part = Fraction(pi_part)
+        self = super().__new__(cls, math.pi * pi_part.numerator / pi_part.denominator + rest)
+        if abs(rest) > abs(self):
+            pi_part, rest = Fraction(0), float(self)
+        self.pi_part, self.rest = pi_part, float(rest)
+        return self
+
+    def __add__(self, other):
+        if isinstance(other, Time):
+            return Time(self.pi_part + other.pi_part, self.rest + other.rest)
+        return super().__add__(other)
+
+    def __sub__(self, other):
+        if isinstance(other, Time):
+            return Time(self.pi_part - other.pi_part, self.rest - other.rest)
+        return super().__sub__(other)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return Time(self.pi_part * other, self.rest * other)
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
+
+
+def _as_time(tau) -> Time:
+    return tau if isinstance(tau, Time) else Time(0, float(tau))
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """``steps`` evenly spaced times from ``start`` to ``stop``, both included:
+    time j is start + j (stop - start) / (steps - 1), exactly in its pi part.
+
+    ``taus`` is ``np.linspace`` of the two end points' doubles, the times a
+    table lists.  A float end point is a bare time.
+    """
+
+    start: Time
+    stop: Time
+    steps: int
+    taus: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.steps < 2:
+            raise JcmError("steps must be >= 2")
+        object.__setattr__(self, "start", _as_time(self.start))
+        object.__setattr__(self, "stop", _as_time(self.stop))
+        with np.errstate(invalid="ignore", over="ignore"):  # the kernels reject inf/nan
+            taus = np.linspace(float(self.start), float(self.stop), self.steps)
+        taus.setflags(write=False)
+        object.__setattr__(self, "taus", taus)
+
+
+def _reduce(pi_parts, q: int) -> tuple[int, list[int], list[float]]:
+    """Write each Fraction x of ``pi_parts`` as p/q' + e/pi over one
+    denominator q' = min(q, ``_MAX_DENOMINATOR``), q a common denominator:
+    returns q', the numerators p and the float excesses e = pi (x - p/q'),
+    which are 0 unless q was capped."""
+    q = min(q, _MAX_DENOMINATOR)
+    ps = [round(x * q) for x in pi_parts]
+    return q, ps, [math.pi * float(x - Fraction(p, q)) for x, p in zip(pi_parts, ps)]
 
 
 class RabiMode(enum.Enum):
@@ -73,6 +174,24 @@ def rabi_frequencies(n_max: int, k: int, mode: RabiMode) -> np.ndarray:
     return np.sqrt(prod)
 
 
+def _split_frequencies(freqs: np.ndarray, k: int, mode: RabiMode):
+    """W_n = m_n + c_n: the integers m_n (int64) and the float corrections
+    c_n (None where all are 0).
+
+    Quadratic: m_n = n^2 + 5n + 5, c_n = 0.  Exact, k = 4: (n+1)(n+2)(n+3)(n+4)
+    = m_n^2 - 1, so c_n = -1/(m_n + sqrt(m_n^2 - 1)), of modulus below
+    1/(2 m_n).  Exact, other k: m_n = 0, c_n = W_n, all float.
+    """
+    n = np.arange(len(freqs), dtype=np.int64)
+    if k != 4:
+        return np.zeros_like(n), freqs
+    m = n * n + 5 * n + 5
+    if mode is RabiMode.QUADRATIC:
+        return m, None
+    mf = m.astype(float)
+    return m, -1.0 / (mf + np.sqrt(mf * mf - 1.0))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """k-photon model configuration: multiplicity, coherent amplitude, truncation.
@@ -81,10 +200,13 @@ class ModelParams:
     throughout, so there is no detuning field.  The tail check runs at
     ``cutoff - k``: each de-excitation shifts the ground branch up by k
     photons, so the amplitudes above it leave the stored ground array.
+    ``tail_tol`` must lie in (0, 1): at 1 or above every truncation passes.
 
     It also builds, once, the read-only arrays every kernel reads: the
     normalized coherent amplitudes C_n (``amplitudes``) and the Rabi
-    frequencies W_n (``frequencies``), n = 0..cutoff, not compared or hashed.
+    frequencies W_n (``frequencies``), n = 0..cutoff, not compared or hashed,
+    and their split W_n = m_n + c_n (:func:`_split_frequencies`) that the
+    phase kernel reads.
     """
 
     k: int
@@ -94,6 +216,8 @@ class ModelParams:
     tail_tol: float = DEFAULT_TAIL_TOL
     amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
     frequencies: np.ndarray = field(init=False, repr=False, compare=False)
+    _int_freqs: np.ndarray = field(init=False, repr=False, compare=False)
+    _freq_corrections: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -101,12 +225,17 @@ class ModelParams:
         if self.cutoff < self.k:
             raise JcmError("cutoff must be >= k")
         _check_tail(self.alpha, self.cutoff - self.k, self.tail_tol)
+        if self.tail_tol >= 1:  # every truncation would pass
+            raise JcmError(f"tail_tol must be < 1, got {self.tail_tol}")
         for name, arr in (
             ("amplitudes", _normalized_amplitudes(self.alpha, self.cutoff)),
             ("frequencies", rabi_frequencies(self.cutoff, self.k, self.mode)),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        ints, corrections = _split_frequencies(self.frequencies, self.k, self.mode)
+        object.__setattr__(self, "_int_freqs", ints)
+        object.__setattr__(self, "_freq_corrections", corrections)
 
 
 @dataclass(frozen=True)
@@ -177,8 +306,9 @@ class FieldRank2:
 
 
 def _check_time(params: ModelParams, tau_abs: float) -> None:
-    """Refuse a largest time ``tau_abs`` = max |tau| that is not finite, or
-    whose largest phase W_n tau_abs passes ``_MAX_PHASE``."""
+    """Refuse a largest time ``tau_abs`` that is not finite, or whose largest
+    phase W_n tau_abs passes ``_MAX_PHASE``.  The caller passes the time of
+    the float part of its phases (see ``_MAX_PHASE``)."""
     if not math.isfinite(tau_abs):
         raise JcmError("tau must be finite")
     phase = tau_abs * float(params.frequencies[-1])
@@ -187,14 +317,47 @@ def _check_time(params: ModelParams, tau_abs: float) -> None:
                        "past 2^40, where its float rounding exceeds 2.4e-4 rad")
 
 
+def _phase_factors(params: ModelParams, window: slice, q: int, ps: np.ndarray,
+                   rests: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """e^{i W_n tau_j} for the times tau_j = pi p_j / q + rest_j (doubles
+    ``taus``), one row per time, one column per n of ``window``.
+
+    With W_n = m_n + c_n the phase is the whole multiple of pi/q, r = m_n p_j
+    mod 2q, plus c_n tau_j + m_n rest_j.  r is reduced exactly in int64
+    (``ps`` holds p_j mod 2q, and 2q <= 2^31) to [-q, q), so only the float
+    part carries the time's size into the rounding.
+    """
+    m = params._int_freqs[window]
+    two_q = 2 * q
+    residues = (m % two_q) * ps[:, None]
+    residues += q
+    residues %= two_q
+    residues -= q
+    angle = residues * (math.pi / q)
+    del residues
+    angle += np.multiply.outer(rests, m)
+    if params._freq_corrections is not None:
+        angle += np.multiply.outer(taus, params._freq_corrections[window])
+    factors = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=factors.real)
+    np.sin(angle, out=factors.imag)
+    return factors
+
+
 def evolve(params: ModelParams, tau: float) -> JointState:
-    """Joint state at scaled time tau from the closed-form solution."""
-    _check_time(params, abs(tau))
-    c, freqs = params.amplitudes, params.frequencies
-    excited = c * np.cos(freqs * tau)
+    """Joint state at scaled time tau (a :class:`Time` or a float) from the
+    closed-form solution."""
+    t = _as_time(tau)
+    q, (p,), (excess,) = _reduce([t.pi_part], t.pi_part.denominator)
+    rest = t.rest + excess
+    _check_time(params, abs(rest) if params.mode is RabiMode.QUADRATIC else abs(t))
+    f = _phase_factors(params, slice(None), q, np.array([p % (2 * q)]),
+                       np.array([rest]), np.array([float(t)]))[0]
+    c = params.amplitudes
+    excited = c * f.real
     ground = np.zeros(params.cutoff + 1, dtype=complex)
     k = params.k
-    ground[k:] = -1j * c[:-k] * np.sin(freqs[:-k] * tau)
+    ground[k:] = -1j * c[:-k] * f.imag[:-k]
     return JointState(excited=excited, ground=ground, k=k)
 
 
@@ -213,35 +376,85 @@ def atom_density(state: JointState) -> AtomDensity:
     return AtomDensity(rho11=rho11, rho22=rho22, rho12=rho12)
 
 
-def atom_density_series(params: ModelParams, taus) -> AtomDensity:
-    """``atom_density(evolve(params, tau))`` for every tau of ``taus``, as arrays:
-    rho22 = sum |C_n|^2 cos^2(W_n tau), rho11 = sum |C_n|^2 sin^2(W_n tau) over
-    n + k <= cutoff, rho12 = -sum C_n conj(C_{n+k}) sin(W_n tau) cos(W_{n+k} tau).
+def _float_chunks(params: ModelParams, window: slice, taus: np.ndarray, rows: int):
+    """(first row, |C_n| e^{i W_n tau}) for each chunk of ``rows`` bare float times."""
+    zeros = np.zeros(rows, dtype=np.int64)
+    moduli = np.abs(params.amplitudes[window])
+    for j0 in range(0, len(taus), rows):
+        t = taus[j0:j0 + rows]
+        yield j0, _phase_factors(params, window, 1, zeros[:len(t)], t, t) * moduli
 
-    The sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the peak.
-    The cos/sin matrices are formed for blocks of taus of at most
-    ``_CHUNK_ENTRIES`` entries, and each sum runs along one row (numpy's
-    pairwise sum), so no value depends on the blocking."""
-    taus = np.asarray(taus, dtype=float).ravel()
-    _check_time(params, float(np.abs(taus).max(initial=0.0)))
+
+def _grid_chunks(params: ModelParams, window: slice, grid: TimeGrid, rows: int):
+    """(first row, |C_n| e^{i W_n tau}) for chunks of at most ``rows`` times of ``grid``.
+
+    Row j = b + o of the block starting at row b is the block's start row
+    times the offset row o, both exactly reduced: e^{i W (tau_b + o step)}.
+    The P offset rows, scaled by |C_n|, are computed once, capped at
+    ``_OFFSET_ENTRIES``, and each start row when its block is reached, so
+    steps/P + P rows are evaluated.  P depends on the grid and the support
+    width only.  The chunks are views of one buffer, valid until the next
+    one is drawn.
+    """
+    n, start, stop = grid.steps, grid.start, grid.stop
+    width = window.stop - window.start
+    step = (stop.pi_part - start.pi_part) / (n - 1)
+    q, (p0, dp), (excess0, dexcess) = _reduce(
+        (start.pi_part, step), math.lcm(start.pi_part.denominator, step.denominator))
+    rest0 = start.rest + excess0
+    drest = (stop.rest - start.rest) / (n - 1) + dexcess
+    two_q = 2 * q
+    period = min(math.isqrt(n - 1) + 1, max(1, _OFFSET_ENTRIES // width))
+    o = np.arange(period)
+    offsets = _phase_factors(params, window, q, o * (dp % two_q) % two_q, o * drest,
+                             grid.taus[:period] - grid.taus[0])
+    offsets *= np.abs(params.amplitudes[window])
+    buffer = np.empty((min(rows, period), width), dtype=complex)
+    for b in range(0, n, period):
+        start_row = _phase_factors(params, window, q, np.array([(p0 + b * dp) % two_q]),
+                                   np.array([rest0 + b * drest]), grid.taus[b:b + 1])[0]
+        for j0 in range(b, min(b + period, n), rows):
+            j1 = min(j0 + rows, b + period, n)
+            yield j0, np.multiply(offsets[j0 - b:j1 - b], start_row, out=buffer[:j1 - j0])
+
+
+def atom_density_series(params: ModelParams, times) -> AtomDensity:
+    """``atom_density(evolve(params, tau))`` for every time tau of ``times``, as
+    arrays: rho22 = sum (|C_n| cos(W_n tau))^2, rho11 = sum (|C_n| sin(W_n tau))^2
+    over n + k <= cutoff, rho12 = -sum u_n |C_n| sin(W_n tau) |C_{n+k}| cos(W_{n+k} tau)
+    with the unit phases u_n = C_n conj(C_{n+k}) / |C_n C_{n+k}|.
+
+    ``times`` is a :class:`TimeGrid`, whose phases are exact in their pi
+    part (:func:`_grid_chunks`), or a sequence of bare float times.  The
+    sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the peak.
+    The factors |C_n| e^{i W_n tau} are formed for chunks of times of at
+    most ``_CHUNK_ENTRIES`` entries, and each sum runs along one row
+    (numpy's pairwise sum), so no value depends on the chunking."""
+    if isinstance(times, TimeGrid):
+        n = times.steps
+        _check_time(params, max(abs(times.start), abs(times.stop)))
+    else:
+        taus = np.asarray(times, dtype=float).ravel()
+        n = taus.size
+        _check_time(params, float(np.abs(taus).max(initial=0.0)))
     k = params.k
-    c = params.amplitudes
-    support = np.flatnonzero(np.abs(c) > _SUPPORT_FLOOR * np.abs(c).max())
-    lo, hi = support[0], support[-1] + 1
-    freqs = params.frequencies[lo:hi]
-    c = c[lo:hi]
-    excited_w = np.abs(c) ** 2
-    ground_w = np.where(np.arange(lo, hi) + k <= params.cutoff, excited_w, 0.0)
-    cross = c[:-k] * np.conj(c[k:])
-    n = taus.size
+    moduli = np.abs(params.amplitudes)
+    support = np.flatnonzero(moduli > _SUPPORT_FLOOR * moduli.max())
+    window = slice(int(support[0]), int(support[-1]) + 1)
+    units = params.amplitudes[window] / moduli[window]
+    cross = units[:-k] * np.conj(units[k:])
+    ground = max(0, params.cutoff - k + 1 - window.start)  # n + k <= cutoff: a prefix
     rho11, rho22, rho12 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    rows = max(1, _CHUNK_ENTRIES // len(c))
-    for start in range(0, n, rows):
-        block = slice(start, start + rows)
-        phase = np.outer(taus[block], freqs)
-        cos, sin = np.cos(phase), np.sin(phase)
-        rho22[block] = (cos * cos * excited_w).sum(axis=1)
-        rho11[block] = (sin * sin * ground_w).sum(axis=1)
+    rows = max(1, _CHUNK_ENTRIES // (window.stop - window.start))
+    if isinstance(times, TimeGrid):
+        chunks = _grid_chunks(params, window, times, rows)
+    else:
+        chunks = _float_chunks(params, window, taus, rows)
+    for j0, factors in chunks:
+        block = slice(j0, j0 + len(factors))
+        cos, sin = factors.real, factors.imag
+        rho22[block] = np.square(cos).sum(axis=1)
+        rho11[block] = np.square(sin[:, :ground]).sum(axis=1)
         mixed = sin[:, :-k] * cos[:, k:]
         rho12[block] = -((mixed * cross.real).sum(axis=1)
                          + 1j * (mixed * cross.imag).sum(axis=1))

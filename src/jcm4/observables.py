@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams
+from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams, RabiMode, Time
 from .errors import JcmError
 
 __all__ = [
@@ -207,7 +207,16 @@ def atomic_inversion(params: ModelParams, tau: float) -> float:
     """Population inversion W(tau) = sum |C_n|^2 cos(2 W_n tau), in [-1, 1].
 
     Equals rho22 - rho11 of the evolved state; this direct sum is the
-    independent second route.
+    independent second route.  At a :class:`Time` pi p/q + rest in
+    quadratic mode it reduces 2 W_n p mod 2q itself, in Python integers,
+    apart from the dynamics kernel's reduction.
     """
     weights = np.abs(params.amplitudes) ** 2
-    return float(np.sum(weights * np.cos(2.0 * params.frequencies * tau)))
+    if isinstance(tau, Time) and params.mode is RabiMode.QUADRATIC:
+        p, q = tau.pi_part.numerator, tau.pi_part.denominator
+        residues = [2 * w * p % (2 * q) for w in params.frequencies.astype(np.int64).tolist()]
+        angles = np.array(residues, dtype=float) * (math.pi / q)
+        angles += 2.0 * params.frequencies * tau.rest
+    else:
+        angles = 2.0 * params.frequencies * tau
+    return float(np.sum(weights * np.cos(angles)))

@@ -119,13 +119,21 @@ class TestPndCommand:
         raw = (tmp_path / "pnd_0.csv").read_bytes()
         assert b"\r" not in raw
 
+    def test_whole_turns_are_the_initial_state(self, tmp_path):
+        # W_n 2e12 pi is a whole number of turns, reduced exactly in quadratic
+        # mode; as a double its phase would pass 2^40
+        assert main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "2000000000000pi"]) == 0
+        assert main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "0"]) == 0
+        assert ((tmp_path / "pnd_2000000000000pi.csv").read_bytes()
+                == (tmp_path / "pnd_0.csv").read_bytes())
+
     def test_seventeen_digit_round_trip(self, tmp_path):
         main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "pi/4"])
         from jcm4.dynamics import ModelParams, RabiMode, evolve
         from jcm4.observables import pnd
 
         params = ModelParams(k=4, alpha=2.0, cutoff=32, mode=RabiMode.QUADRATIC)
-        expected = pnd(evolve(params, math.pi / 4))
+        expected = pnd(evolve(params, parse_tau("pi/4")))
         lines = (tmp_path / "pnd_pi_4.csv").read_text().splitlines()[1:]
         got = np.array([float(line.split(",")[1]) for line in lines])
         assert np.array_equal(got, expected)
@@ -454,6 +462,11 @@ class TestErrorPaths:
         (["pnd", "--tau", HUGE + "pi"], "out of the double range"),
         (["pnd", "--tau", "pi/" + HUGE], "out of the double range"),
         (["entropy", "--tau-max", HUGE + "pi"], "out of the double range"),
+        # a tolerance of 1 or more passes every truncation
+        (["catcheck", "--nbar", "50", "--cutoff", "20", "--tail-tol", "2"],
+         "tail_tol must be < 1"),
+        (["pnd", "--nbar", "50", "--cutoff", "10", "--tail-tol", "2", "--tau", "0"],
+         "tail_tol must be < 1"),
     ]
 
     @pytest.mark.parametrize("argv,fragment", REFUSED,

@@ -1,5 +1,7 @@
 import cmath
 import math
+import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -10,6 +12,8 @@ from jcm4 import dynamics, fock
 from jcm4.dynamics import (
     ModelParams,
     RabiMode,
+    Time,
+    TimeGrid,
     atom_density,
     atom_density_series,
     evolve,
@@ -18,7 +22,7 @@ from jcm4.dynamics import (
 )
 from jcm4.errors import JcmError
 from jcm4.fock import coherent_state, fidelity
-from jcm4.observables import atomic_inversion
+from jcm4.observables import atomic_inversion, pnd, pnd_closed_quarter
 
 ALPHA50 = math.sqrt(50.0)
 
@@ -103,6 +107,14 @@ class TestModelParams:
             atomic_inversion(params, tau)
         atom_density_series(params, np.linspace(0.0, math.pi, 5))
         assert calls == {"amplitudes": 1, "frequencies": 1, "tail": 1}
+
+    @pytest.mark.parametrize("tail_tol", [1.0, 2.0])
+    def test_tail_tol_below_one(self, tail_tol):
+        # at 1 or above every truncation passes, so the tail check would be off;
+        # coherent_state still takes 1.0 to report the bare tail mass
+        with pytest.raises(JcmError, match="tail_tol must be < 1"):
+            ModelParams(k=4, alpha=ALPHA50, cutoff=20, tail_tol=tail_tol)
+        assert coherent_state(ALPHA50, 16, tail_tol=1.0)[1] > 0.99
 
     def test_equality_hash_and_read_only_arrays(self):
         a, b = params50(), params50()
@@ -284,30 +296,38 @@ class TestReductions:
 DIP_WINDOW = {50.0: 256, 5000.0: 5470}
 
 
-def dip_window_taus(nbar, steps=1201):
-    delta1 = math.pi / (16.0 * nbar)
-    return np.linspace(math.pi / 4 - 6 * delta1, math.pi / 4 + 6 * delta1, steps)
+def dip_window(nbar, steps=1201):
+    """The times of ``jcm entropy --dip-window``: pi/4 +/- 6 delta_1, exactly."""
+    delta1 = Fraction(1, 16 * int(nbar))
+    return TimeGrid(Time(Fraction(1, 4) - 6 * delta1), Time(Fraction(1, 4) + 6 * delta1), steps)
+
+
+def grid_time(grid, j):
+    """Time j of ``grid``, exact in its pi part."""
+    n = grid.steps - 1
+    return Time(grid.start.pi_part + j * (grid.stop.pi_part - grid.start.pi_part) / n,
+                grid.start.rest + j * (grid.stop.rest - grid.start.rest) / n)
 
 
 class TestAtomDensitySeries:
     @pytest.mark.parametrize("nbar", sorted(DIP_WINDOW))
     def test_matches_per_tau_reference(self, nbar):
         params = ModelParams(k=4, alpha=math.sqrt(nbar), cutoff=DIP_WINDOW[nbar])
-        taus = dip_window_taus(nbar)
-        series = atom_density_series(params, taus)
-        for i, tau in enumerate(taus):
-            ref = atom_density(evolve(params, float(tau)))
+        grid = dip_window(nbar)
+        series = atom_density_series(params, grid)
+        for i in range(grid.steps):
+            ref = atom_density(evolve(params, grid_time(grid, i)))
             assert abs(series.rho11[i] - ref.rho11) < 1e-15
             assert abs(series.rho22[i] - ref.rho22) < 1e-15
             assert abs(series.rho12[i] - ref.rho12) < 1e-15
 
     def test_inversion_matches_direct_sum(self):
         params = params50()
-        taus = dip_window_taus(50.0)
-        series = atom_density_series(params, taus)
-        for i, tau in enumerate(taus):
+        grid = dip_window(50.0)
+        series = atom_density_series(params, grid)
+        for i in range(grid.steps):
             w = series.rho22[i] - series.rho11[i]
-            assert abs(w - atomic_inversion(params, float(tau))) < 1e-15
+            assert abs(w - atomic_inversion(params, grid_time(grid, i))) < 1e-15
 
     def test_single_time(self):
         params = ModelParams(k=4, alpha=2.0 + 1.0j, cutoff=40, mode=RabiMode.EXACT)
@@ -335,3 +355,88 @@ class TestAtomDensitySeries:
             atom_density_series(params50(), [0.0, math.inf, 1.0])
         with pytest.raises(JcmError, match="tau must be finite"):
             atom_density_series(params50(), [math.nan])
+
+
+def mp_density(params, tau_pi: Fraction, lo: int, hi: int):
+    """(rho11, rho22, rho12) at tau = pi * tau_pi over the sectors lo <= n < hi,
+    with each phase W_n tau taken in 40-digit mpmath: W_n p mod 2q in
+    integers in quadratic mode, the exact square root in exact mode."""
+    k, cutoff, c = params.k, params.cutoff, params.amplitudes
+    cos, sin = np.zeros(cutoff + 1), np.zeros(cutoff + 1)
+    p, q = tau_pi.numerator, tau_pi.denominator
+    with mp.workdps(40):
+        for n in range(lo, min(hi + k, cutoff + 1)):
+            m = n * n + 5 * n + 5
+            if params.mode is RabiMode.QUADRATIC:
+                angle = mp.pi * (m * p % (2 * q)) / q
+            else:
+                angle = mp.sqrt(m * m - 1) * mp.pi * p / q
+            cs, sn = mp.cos_sin(angle)
+            cos[n], sin[n] = float(cs), float(sn)
+    w = np.abs(c) ** 2
+    rho22 = math.fsum(w[lo:hi] * cos[lo:hi] ** 2)
+    rho11 = math.fsum(w[lo:min(hi, cutoff - k + 1)] * sin[lo:min(hi, cutoff - k + 1)] ** 2)
+    top = min(hi, cutoff - k + 1)
+    terms = c[lo:top] * np.conj(c[lo + k:top + k]) * sin[lo:top] * cos[lo + k:top + k]
+    rho12 = -complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return rho11, rho22, rho12
+
+
+class TestExactPhases:
+    """The pi part of a time is reduced exactly, so at the paper's photon
+    numbers the kernels agree with 40-digit arithmetic to the last bits."""
+
+    @pytest.mark.parametrize("nbar,cutoff,mode", [
+        (5000.0, 5470, RabiMode.QUADRATIC),
+        (1e5, 102066, RabiMode.QUADRATIC),
+        (5000.0, 5470, RabiMode.EXACT)])
+    def test_dip_window_series_against_mpmath(self, nbar, cutoff, mode):
+        params = ModelParams(k=4, alpha=math.sqrt(nbar), cutoff=cutoff, mode=mode)
+        grid = dip_window(nbar)
+        series = atom_density_series(params, grid)
+        modulus = np.abs(params.amplitudes)
+        support = np.flatnonzero(modulus > 1e-20 * modulus.max())
+        for j in (0, 137, 600, 700, 1200):  # 600 is pi/4, 700 is pi/4 + delta_1
+            rho11, rho22, rho12 = mp_density(params, grid_time(grid, j).pi_part,
+                                             support[0], support[-1] + 1)
+            assert abs(series.rho11[j] - rho11) < 1e-15
+            assert abs(series.rho22[j] - rho22) < 1e-15
+            assert abs(series.rho12[j] - rho12) < 1e-15
+
+    def test_quarter_period_pnd_at_1e5(self):
+        params = ModelParams(k=4, alpha=math.sqrt(1e5), cutoff=102066)
+        got = pnd(evolve(params, Time(Fraction(1, 4))))
+        want = pnd_closed_quarter(np.abs(params.amplitudes) ** 2)
+        assert np.max(np.abs(got - want)) < 1e-15 * want.max()
+
+    def test_huge_exact_time_in_quadratic_mode(self):
+        # W_n * 2e12 pi is a whole number of turns: the initial state, not a refusal
+        params = params50()
+        state = evolve(params, Time(2 * 10 ** 12))
+        assert np.array_equal(state.excited, evolve(params, 0.0).excited)
+        assert np.max(np.abs(state.ground)) == 0.0
+
+    def test_denominator_past_the_int64_bound(self):
+        # q = 3e9 + 1 > 2^30: the pi part is rounded to a multiple of pi/2^30
+        # and the difference joins the float remainder
+        params = params50()
+        tau_pi = Fraction(750_000_001, 3_000_000_001)
+        got = atom_density(evolve(params, Time(tau_pi)))
+        want = mp_density(params, tau_pi, 0, params.cutoff + 1)
+        assert abs(got.rho11 - want[0]) < 1e-13
+        assert abs(got.rho22 - want[1]) < 1e-13
+
+    def test_dip_window_scan_memory(self):
+        # tracemalloc peak of one 1201-step scan at nbar 5000: 0.54 MB for the
+        # float-phase kernel, 0.80 MB here with the offset table capped at 256
+        # KiB, 1.29 MB uncapped (35 rows); the bound is twice the first
+        params = ModelParams(k=4, alpha=math.sqrt(5000.0), cutoff=5470)
+        grid = dip_window(5000.0)
+        atom_density_series(params, grid)
+        tracemalloc.start()
+        try:
+            atom_density_series(params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 541_256
