@@ -45,7 +45,7 @@ __all__ = [
     "atom_density_series",
 ]
 
-_SUPPORT_FLOOR = 1e-17  # series kernel keeps |C_n| above this share of the peak
+_SUPPORT_FLOOR = 1e-17  # the kernels keep the entries above this share of the peak
 # Entries of one (taus x support) chunk of the series kernel: 128 KiB of
 # complex phase factors and 64 KiB per float product, which the C allocator
 # reuses from the heap, so peak memory stays flat.
@@ -305,6 +305,15 @@ class FieldRank2:
             object.__setattr__(self, name, arr)
 
 
+def _support(*moduli: np.ndarray) -> slice:
+    """The window [lo, hi) where the series and Q kernels sum: every n at
+    which one of ``moduli`` is above ``_SUPPORT_FLOOR`` of its own peak, or
+    NaN (so that the kernels see it).  Empty if all are 0."""
+    support = np.flatnonzero(np.logical_or.reduce(
+        [~(m <= _SUPPORT_FLOOR * m.max()) for m in moduli]))
+    return slice(int(support[0]), int(support[-1]) + 1) if support.size else slice(0, 0)
+
+
 def _check_time(params: ModelParams, tau_abs: float) -> None:
     """Refuse a largest time ``tau_abs`` that is not finite, or whose largest
     phase W_n tau_abs passes ``_MAX_PHASE``.  The caller passes the time of
@@ -426,7 +435,7 @@ def atom_density_series(params: ModelParams, times) -> AtomDensity:
 
     ``times`` is a :class:`TimeGrid`, whose phases are exact in their pi
     part (:func:`_grid_chunks`), or a sequence of bare float times.  The
-    sums run over the n with |C_n| above ``_SUPPORT_FLOOR`` of the peak.
+    sums run over the support of |C_n| (:func:`_support`).
     The factors |C_n| e^{i W_n tau} are formed for chunks of times of at
     most ``_CHUNK_ENTRIES`` entries, and each sum runs along one row
     (numpy's pairwise sum), so no value depends on the chunking."""
@@ -439,8 +448,7 @@ def atom_density_series(params: ModelParams, times) -> AtomDensity:
         _check_time(params, float(np.abs(taus).max(initial=0.0)))
     k = params.k
     moduli = np.abs(params.amplitudes)
-    support = np.flatnonzero(moduli > _SUPPORT_FLOOR * moduli.max())
-    window = slice(int(support[0]), int(support[-1]) + 1)
+    window = _support(moduli)
     units = params.amplitudes[window] / moduli[window]
     cross = units[:-k] * np.conj(units[k:])
     ground = max(0, params.cutoff - k + 1 - window.start)  # n + k <= cutoff: a prefix

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams, RabiMode, Time
+from .dynamics import AtomDensity, FieldRank2, JointState, ModelParams, RabiMode, Time, _support
 from .errors import JcmError
 
 __all__ = [
@@ -31,9 +31,10 @@ LN2 = math.log(2.0)
 
 # Grid points per block of the Q recurrence.  The five complex working
 # arrays of a block then take 320 KiB, which stays in a 2 MiB L2 cache
-# through the 257 steps; the whole 241x241 grid at once (4.5 MiB) does not,
-# and takes 0.15 s per grid against 0.10 s in blocks.  Blocks of 1024 pay
-# more in per-call overhead than they save (0.21 s).
+# through the steps over the support (166 at nbar 50, 1329 at 5000); the
+# whole 241x241 grid at once (4.5 MiB) does not, and took 0.15 s per grid
+# against 0.10 s in blocks over 257 steps.  Blocks of 1024 pay more in
+# per-call overhead than they save (0.21 s).
 _Q_BLOCK = 4096
 
 
@@ -159,43 +160,73 @@ def q_grid(
 ) -> PhaseGrid:
     """Q evaluated on an nx-by-ny rectangular grid over ``window`` =
     (re_min, re_max, im_min, im_max).  Vectorized over the grid points, in
-    blocks of ``_Q_BLOCK``; a window too wide for doubles gives non-finite Q
-    and :class:`JcmError`."""
+    blocks of ``_Q_BLOCK``, and summed over the support of u and v
+    (:func:`~jcm4.dynamics._support`); a window too wide for doubles gives
+    non-finite Q and :class:`JcmError`."""
     re_min, re_max, im_min, im_max = (float(w) for w in window)
     # ordered bounds (NaN is not) and the two points per axis cell_area needs
     if not (nx >= 2 and ny >= 2 and re_min < re_max and im_min < im_max):
         raise JcmError(f"window {re_min},{re_max},{im_min},{im_max} at {nx}x{ny}")
-    with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite Q
+    support = _support(np.abs(field.u), np.abs(field.v))
+    # caught as non-finite Q; beta = 0 takes the log of 0 in the seed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xs = np.linspace(re_min, re_max, nx)
         ys = np.linspace(im_min, im_max, ny)
         bc = (xs[:, None] - 1j * ys[None, :]).ravel()  # conj(beta), row-major in re
         q = np.empty(bc.size)
         for start in range(0, bc.size, _Q_BLOCK):
             block = slice(start, start + _Q_BLOCK)
-            q[block] = _q_block(bc[block], field.u, field.v)
+            q[block] = _q_block(bc[block], field.u, field.v, support)
         q = q.reshape(nx, ny)
     if not np.all(np.isfinite(q)):
         raise JcmError(f"non-finite Q on window {window} at {nx}x{ny}")
     return PhaseGrid(res=xs, ims=ys, values=q)
 
 
-def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q at the points conj(beta) = ``bc``: (|<beta|u>|^2 + |<beta|v>|^2)/pi,
-    with <beta|n> = e^{-|beta|^2/2} conj(beta)^n / sqrt(n!) by recurrence.
+def _q_seed(bc: np.ndarray, lo: int) -> np.ndarray:
+    """|<beta|lo>| = e^{-x/2} x^{lo/2} / sqrt(lo!), x = |beta|^2, at the points
+    conj(beta) = ``bc``; at lo = 0 it is e^{-x/2}.
 
+    Above lo = 0 it is taken in logs, which do not underflow, as the
+    exponent lo/2 (ln(1 + t) - t) + r/2 with t = x/lo - 1 and
+    r = lo ln lo - lo - ln lo!.  That form cancels the terms of order x
+    exactly, so the exponent is rounded by about eps |x - lo|, not eps x.
+    r is Stirling's series from lo = 40 (omitted term below 4e-15) and the
+    direct difference below it (error below 2e-14).  x = inf is held at
+    t = 1e300, so that it seeds 0, not NaN.
+    """
+    x = np.abs(bc) ** 2
+    if not lo:
+        return np.exp(-x / 2.0)
+    if lo < 40:
+        r = lo * math.log(lo) - lo - math.lgamma(lo + 1)
+    else:
+        s = 1.0 / (lo * lo)
+        r = -0.5 * math.log(2.0 * math.pi * lo) - (1.0 - s * (1.0 / 30.0 - s / 105.0)) / (12.0 * lo)
+    t = np.minimum(x / lo - 1.0, 1e300)
+    return np.exp(lo / 2.0 * (np.log1p(t) - t) + r / 2.0)
+
+
+def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray, window: slice) -> np.ndarray:
+    """Q at the points conj(beta) = ``bc``: (|<beta|u>|^2 + |<beta|v>|^2)/pi,
+    summed over the support ``window`` = [lo, hi) of u and v.
+
+    The terms are e^{i lo arg beta} <beta|n>, from the seed |<beta|lo>|
+    (:func:`_q_seed`) by the recurrence term_{n+1} = term_n conj(beta) /
+    sqrt(n+1); the phase is common to every n at a point, so Q drops it.
     The working arrays are allocated once and reused.  The step
     bc / sqrt(n+1) is taken as a multiply of the float view by the
     reciprocal, which is how numpy divides a complex by a real: the same
     bits without a complex division.  Each complex product goes to an array
     that is neither factor: numpy rounds a product written over one of its
     one-point factors differently, which a one-point last block would show."""
-    term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
+    term = _q_seed(bc, window.start).astype(complex)
     su = np.zeros_like(term)
     sv = np.zeros_like(term)
     tmp = np.empty_like(term)
     nxt = np.empty_like(term)
     bc_parts, tmp_parts = bc.view(float), tmp.view(float)  # (re, im) pairs
-    for n in range(len(u)):
+    for n in range(window.start, window.stop):
         su += np.multiply(term, u[n], out=tmp)
         sv += np.multiply(term, v[n], out=tmp)
         np.multiply(bc_parts, 1.0 / math.sqrt(n + 1), out=tmp_parts)

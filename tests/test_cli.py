@@ -237,6 +237,18 @@ class TestQfuncCommand:
         data = json.loads((tmp_path / "qfunc_0.json").read_text())
         assert data["window"] == [-1.0, 5.0, -3.0, 3.0]
 
+    @pytest.mark.parametrize("nbar,cutoff", [(1450, 1800), (2000, 2400)])
+    def test_large_nbar_window_sums_to_one(self, tmp_path, nbar, cutoff):
+        # the plain seed e^{-|beta|^2/2} read 0.777 at nbar 1450 and
+        # underflowed to 0 at 2000, refused as "no positive Q values"
+        a = math.sqrt(nbar)
+        rc = main(["qfunc", "--nbar", str(nbar), "--cutoff", str(cutoff), "--out", str(tmp_path),
+                   "--tau", "0", f"--window={a - 4},{a + 4},-4,4", "--resolution", "81"])
+        assert rc == 0
+        data = json.loads((tmp_path / "qfunc_0.json").read_text())
+        assert abs(data["riemann_sum"] - 1.0) < 1e-6
+        assert data["component_count"] == 1
+
     def test_bad_window(self, tmp_path):
         rc = main([
             "qfunc", *FAST, "--out", str(tmp_path),

@@ -420,6 +420,19 @@ class TestExactPhases:
         assert abs(got.rho22 - want[1]) < 1e-15
         assert abs(got.rho12 - want[2]) < 1e-15
 
+    def test_grid_step_past_the_int64_bound(self):
+        # the grid step's denominator 4q = 1.2e10 is capped at 2^30 too, and
+        # its excess joins the step of the float remainder; each time's
+        # evolve reduces its own pi part, so the series must agree with it
+        params = params50()
+        grid = TimeGrid(0, Time(Fraction(1_000_000_007, 3_000_000_001)), 5)
+        series = atom_density_series(params, grid)
+        for j in range(grid.steps):
+            want = atom_density(evolve(params, grid_time(grid, j)))
+            assert abs(series.rho11[j] - want.rho11) < 1e-15
+            assert abs(series.rho22[j] - want.rho22) < 1e-15
+            assert abs(series.rho12[j] - want.rho12) < 1e-15
+
     def test_dip_window_scan_memory(self):
         # tracemalloc peak of one 1201-step scan at nbar 5000: 0.54 MB for the
         # float-phase kernel, 0.80 MB here with the offset table capped at 256

@@ -1,12 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from jcm4 import observables
+from jcm4 import dynamics, observables
 from jcm4.cli import parse_tau
 from jcm4.dynamics import (
     AtomDensity,
+    FieldRank2,
     ModelParams,
     RabiMode,
     atom_density,
@@ -248,14 +250,16 @@ class TestQFunction:
 
 def q_whole_grid(field, window, nx, ny):
     """The Q recurrence over the whole flattened grid at once, one fresh
-    temporary per operation: the reference the blocked kernel must equal."""
+    temporary per operation, over the same support [lo, hi) and from the
+    same seed |<beta|lo>|: the reference the blocked kernel must equal."""
     xs = np.linspace(window[0], window[1], nx)
     ys = np.linspace(window[2], window[3], ny)
     bc = (xs[:, None] - 1j * ys[None, :]).ravel()
-    term = np.exp(-np.abs(bc) ** 2 / 2.0).astype(complex)
+    support = dynamics._support(np.abs(field.u), np.abs(field.v))
+    term = observables._q_seed(bc, support.start).astype(complex)
     su = np.zeros_like(term)
     sv = np.zeros_like(term)
-    for n in range(len(field.u)):
+    for n in range(support.start, support.stop):
         su += term * field.u[n]
         sv += term * field.v[n]
         term *= bc / math.sqrt(n + 1)
@@ -281,6 +285,52 @@ class TestBlockedQKernel:
         default = q_grid(field, self.WINDOW, 41, 41).values
         monkeypatch.setattr(observables, "_Q_BLOCK", 7)
         assert q_grid(field, self.WINDOW, 41, 41).values.tobytes() == default.tobytes()
+
+
+def mp_q(field, beta):
+    """Q(beta) of the field as given, summed over every n in 40-digit
+    mpmath from <beta|0> = e^{-|beta|^2/2}."""
+    with mp.workdps(40):
+        bc = mp.mpc(beta.real, -beta.imag)
+        term = mp.exp(-abs(mp.mpc(beta)) ** 2 / 2)
+        su = sv = mp.mpc(0)
+        for n in range(len(field.u)):
+            su += term * mp.mpc(field.u[n])
+            sv += term * mp.mpc(field.v[n])
+            term = term * bc / mp.sqrt(n + 1)
+        return float((abs(su) ** 2 + abs(sv) ** 2) / mp.pi)
+
+
+class TestQAtLargeNbar:
+    """The recurrence starts at the support's first index lo from a log
+    seed, so Q stays right where e^{-|beta|^2/2} underflows (nbar >~ 1400)."""
+
+    @pytest.mark.parametrize("nbar,cutoff,tau,turn", [
+        (2000.0, 2400, "0", 1), (2000.0, 2400, "pi/2", 1j), (5000.0, 5470, "0", 1)])
+    def test_against_mpmath(self, nbar, cutoff, tau, turn):
+        # measured worst: 8.4e-14 of the peak 1/pi, at nbar 2000 near alpha
+        params = ModelParams(k=4, alpha=math.sqrt(nbar), cutoff=cutoff)
+        field = field_rank2(evolve(params, parse_tau(tau)))
+        c = turn * math.sqrt(nbar)  # a component: alpha at 0, i alpha at pi/2
+        # near c and -c, and two corners of the window c +- 4
+        for beta in (c, c + 0.3 + 0.2j, -c - 0.7j, c + 4 + 4j, c - 4 - 4j):
+            assert abs(q_at(field, beta) - mp_q(field, beta)) < 2e-13 / math.pi
+
+    def test_field_without_support(self):
+        # all 0: no step, Q = 0 as before; a NaN keeps every n and is refused
+        zero = np.zeros(9, dtype=complex)
+        assert not q_grid(FieldRank2(u=zero, v=zero), (-1, 1, -1, 1), 3, 3).values.any()
+        with pytest.raises(JcmError, match="non-finite Q"):
+            q_grid(FieldRank2(u=np.full(9, np.nan), v=zero), (-1, 1, -1, 1), 3, 3)
+
+    def test_seed_edges(self):
+        # lo = 0 keeps the plain seed's bits; above it beta = 0 and
+        # |beta|^2 = inf seed 0 exactly, not NaN
+        bc = np.array([0.0, 3.0 - 4.0j, 1e200])
+        with np.errstate(divide="ignore", over="ignore"):  # log1p(-1), 1e200^2
+            assert (observables._q_seed(bc, 0).tobytes()
+                    == np.exp(-np.abs(bc) ** 2 / 2.0).tobytes())
+            assert observables._q_seed(bc, 7)[[0, 2]].tolist() == [0.0, 0.0]
 
 
 class TestInversion:
