@@ -189,8 +189,8 @@ def _q_seed(bc: np.ndarray, lo: int) -> np.ndarray:
 
     Above lo = 0 it is taken in logs, which do not underflow, as the
     exponent lo/2 (ln(1 + t) - t) + r/2 with t = x/lo - 1 and
-    r = lo ln lo - lo - ln lo!.  That form cancels the terms of order x
-    exactly, so the exponent is rounded by about eps |x - lo|, not eps x.
+    r = lo ln lo - lo - ln lo!.  In that form no two terms of order x are
+    subtracted, so the exponent is rounded by about eps |x - lo|, not eps x.
     r is Stirling's series from lo = 40 (omitted term below 4e-15) and the
     direct difference below it (error below 2e-14).  x = inf is held at
     t = 1e300, so that it seeds 0, not NaN.
