@@ -43,8 +43,9 @@ __all__ = [
 
 def dip_offset(r: int, nbar: float) -> Time:
     """Offset delta_r = r pi / (16 nbar), odd r, from the quarter period at
-    which the entanglement dips: an exact :class:`Time` for every float nbar,
-    or the plain double when that Fraction of pi is past the double range.
+    which the entanglement dips, as an exact :class:`Time`.  A delta_r past
+    the double range (nbar below about 1e-294) is refused: its phases are
+    far past 2^40.
 
     Leading order in 1/nbar.  Measured in quadratic mode, the true dip
     minima approach r delta_1 (1 - 3.5/nbar), which is 0.93 r delta_1 at
@@ -57,8 +58,9 @@ def dip_offset(r: int, nbar: float) -> Time:
         raise JcmError("nbar must be > 0")
     try:
         return Time(Fraction(r) / (16 * Fraction(nbar)))
-    except OverflowError:
-        return r * math.pi / (16.0 * nbar)
+    except (OverflowError, JcmError):
+        raise JcmError(f"delta_{r} = {r} pi / (16 nbar) at nbar = {nbar:.6g} is past the "
+                       "double range, so its phases are past 2^40") from None
 
 
 def _kerr_target(params: ModelParams, theta: float, gamma: float) -> np.ndarray:
@@ -87,7 +89,7 @@ def expected_kerr_state(params: ModelParams) -> np.ndarray:
     return _kerr_target(params, math.pi, math.pi)
 
 
-def expected_cat_state(params: ModelParams, delta: float) -> tuple[np.ndarray, float]:
+def expected_cat_state(params: ModelParams, delta: Time | float) -> tuple[np.ndarray, float]:
     """Equal superposition of two Kerr states predicted at tau = pi/4 + delta.
 
     With d = delta and tau = pi/4 + d the target is
@@ -104,7 +106,7 @@ def expected_cat_state(params: ModelParams, delta: float) -> tuple[np.ndarray, f
     orthogonal, so ``abs(pre_norm - 1)`` measures the branch overlap plus
     any drift of the branch weights away from 1/sqrt(2)).
     """
-    d = delta
+    d = float(delta)
     tau = math.pi / 4.0 + d
     # -i alpha e^{+i6d} = alpha e^{i(6d - pi/2)}, and +i alpha e^{-i6d} its mirror
     branch_plus = _kerr_target(params, 6 * d - math.pi / 2, math.pi / 2 + 2 * d)
@@ -198,7 +200,7 @@ def kerr_fidelity_at_half_period(params: ModelParams) -> float:
     return fidelity(post_selected_field(evolve(params, Time(Fraction(1, 2)))), target)
 
 
-def cat_match(params: ModelParams, delta: float) -> dict:
+def cat_match(params: ModelParams, delta: Time) -> dict:
     """Compare the simulated field at tau = pi/4 + delta_r with the cat.
 
     Returns both the plain fidelity against the renormalized cat and the

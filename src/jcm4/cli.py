@@ -6,9 +6,10 @@ Usage:  jcm <subcommand> [--nbar R] [--mode exact|quadratic] [--cutoff N]
 The pi terms of a time like ``pi/8-pi/24000`` are summed as one exact
 fraction of pi, not as rounded decimals, which break the quadratic model's
 special-time identities, and the time is carried as that Fraction plus a
-float remainder (``dynamics.Time``); so are the time ranges and the dip
-window (``dynamics.TimeGrid``), delta_1 = pi/(16 nbar) being a Fraction of pi
-for every float nbar.  The kernels reduce the pi part exactly: in quadratic
+float remainder (``dynamics.Time``, which is not a float: the writers take
+``float(t)``); so are the time ranges and the dip window
+(``dynamics.TimeGrid``), delta_1 = pi/(16 nbar) being a Fraction of pi for
+every nbar it takes.  The kernels reduce the pi part exactly: in quadratic
 mode every phase W_n tau is exact but for the remainder's part W_n rest.
 Only that float part is bounded by 2^40 for one time; a series (its rows
 list the double tau) and exact mode bound W_n |tau| as a whole.
@@ -150,9 +151,10 @@ def _csv(header: str, *columns) -> Iterator[str]:
 
 
 def _json(payload: dict) -> list[str]:
-    """The sidecar text; a NaN or infinite value raises ValueError."""
+    """The sidecar text, each :class:`Time` as its double; a NaN or infinite
+    value raises ValueError."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"]
+    return [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=float) + "\n"]
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -277,7 +279,7 @@ def cmd_inversion(cfg: RunConfig, args) -> Files:
 def cmd_catcheck(cfg: RunConfig, args) -> Files:
     params = cfg.params()
     delta = catlab.dip_offset(args.r, cfg.nbar)
-    tau_dip = math.pi / 4.0 + delta
+    tau_dip = math.pi / 4.0 + float(delta)
 
     kerr_f = catlab.kerr_fidelity_at_half_period(params)
     match = catlab.cat_match(params, delta)

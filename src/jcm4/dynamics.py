@@ -9,11 +9,12 @@ with W_n the generalized Rabi frequency of the n-photon sector.  Everything
 in this module evaluates that formula or reduces it to the 2x2 atomic and
 rank-2 field density operators; there is no integrator.
 
-A time is a :class:`Time`, an exact Fraction of pi plus a float remainder,
-or a bare float (all remainder).  Every phase W_n tau is taken by one helper,
-:func:`_phase_factors`, which splits W_n into an integer m_n and a float
-correction c_n (``ModelParams``) and reduces the whole multiple of pi,
-(m_n p mod 2q) pi/q, exactly in integers; only c_n tau + m_n rest is rounded.
+A time is a :class:`Time`, an exact Fraction of pi plus a float remainder;
+a float given as a time is all remainder.  Every phase W_n tau is taken by
+one helper, :func:`_phase_factors`, which splits W_n into an integer m_n and
+a float correction c_n (``ModelParams``) and reduces the whole multiple of
+pi, (m_n p mod 2q) pi/q, exactly in integers; only c_n tau + m_n rest is
+rounded.
 In quadratic mode (c_n = 0) a time p pi/q is therefore exact at any photon
 number, and in exact mode at k = 4 the rounded part is below tau/(2 m_n).
 """
@@ -50,12 +51,12 @@ _SUPPORT_FLOOR = 1e-17  # the kernels keep the entries above this share of the p
 # complex phase factors and 64 KiB per float product, which the C allocator
 # reuses from the heap, so peak memory stays flat.
 _CHUNK_ENTRIES = 1 << 13
-# Largest float part of a phase a kernel takes: W_n |tau| for a bare float
-# time or in exact mode, W_n |rest| in quadratic mode, whose pi part is
-# reduced exactly.  For a series it is W_n |tau| in every mode, since its
-# rows are labelled by the double tau.  The rounding of a double phase x is
-# about |x| 2^-52, so up to 2^40 the cos and sin are off by at most
-# 2^-12 = 2.4e-4 rad; past it they soon have no correct digit.
+# Largest float part of a phase a kernel takes: W_n |tau| in exact mode,
+# W_n |rest| in quadratic mode, whose pi part is reduced exactly.  For a
+# series it is W_n |tau| in every mode, since its rows are labelled by the
+# double tau.  The rounding of a double phase x is about |x| 2^-52, so up
+# to 2^40 the cos and sin are off by at most 2^-12 = 2.4e-4 rad; past it
+# they soon have no correct digit.
 _MAX_PHASE = 2.0 ** 40
 # Largest denominator q of an exactly reduced pi part: residues below
 # 2q <= 2^31 keep the int64 product (m_n mod 2q)(p mod 2q) below 2^63.  A
@@ -67,42 +68,48 @@ _MAX_DENOMINATOR = 1 << 30
 _OFFSET_ENTRIES = 1 << 14
 
 
-class Time(float):
-    """A scaled time tau = pi * ``pi_part`` + ``rest``: an exact Fraction of
-    pi plus a float remainder.  As a float it is pi * p / q + rest.
+@dataclass(frozen=True)
+class Time:
+    """A finite scaled time tau = pi * ``pi_part`` + ``rest``: an exact
+    Fraction of pi plus a float remainder.  ``float(t)`` is pi * p / q + rest.
 
-    Float arithmetic on a Time gives a plain float (a bare time, all
-    remainder); the sum and difference of two Times and the product with an
-    int stay exact.  An
-    exact part that would leave a remainder larger than the time itself is
-    dropped, so the float part of a phase is never larger than that of the
-    plain double.
+    A Time is not a float.  The sum and difference of two Times and the
+    product with an int stay exact; any other arithmetic raises TypeError,
+    so the pi part is never dropped without a sound.  An exact part that
+    would leave a remainder larger than the time itself is dropped, so the
+    float part of a phase is never larger than that of the plain double.
     """
 
-    __slots__ = ("pi_part", "rest")
+    pi_part: Fraction = Fraction(0)
+    rest: float = 0.0
 
-    def __new__(cls, pi_part=0, rest: float = 0.0):
-        pi_part = Fraction(pi_part)
-        self = super().__new__(cls, math.pi * pi_part.numerator / pi_part.denominator + rest)
-        if abs(rest) > abs(self):
-            pi_part, rest = Fraction(0), float(self)
-        self.pi_part, self.rest = pi_part, float(rest)
-        return self
+    def __post_init__(self):
+        pi_part, rest = Fraction(self.pi_part), float(self.rest)
+        value = math.pi * pi_part.numerator / pi_part.denominator + rest
+        if not math.isfinite(value):
+            raise JcmError("tau must be finite")
+        if abs(rest) > abs(value):
+            pi_part, rest = Fraction(0), value
+        object.__setattr__(self, "pi_part", pi_part)
+        object.__setattr__(self, "rest", rest)
+
+    def __float__(self) -> float:
+        return math.pi * self.pi_part.numerator / self.pi_part.denominator + self.rest
 
     def __add__(self, other):
-        if isinstance(other, Time):
-            return Time(self.pi_part + other.pi_part, self.rest + other.rest)
-        return super().__add__(other)
+        if not isinstance(other, Time):
+            return NotImplemented
+        return Time(self.pi_part + other.pi_part, self.rest + other.rest)
 
     def __sub__(self, other):
-        if isinstance(other, Time):
-            return Time(self.pi_part - other.pi_part, self.rest - other.rest)
-        return super().__sub__(other)
+        if not isinstance(other, Time):
+            return NotImplemented
+        return Time(self.pi_part - other.pi_part, self.rest - other.rest)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return Time(self.pi_part * other, self.rest * other)
-        return super().__mul__(other)
+        if type(other) is not int:
+            return NotImplemented
+        return Time(self.pi_part * other, self.rest * other)
 
     __rmul__ = __mul__
 
@@ -117,7 +124,7 @@ class TimeGrid:
     time j is start + j (stop - start) / (steps - 1), exactly in its pi part.
 
     ``taus`` is ``np.linspace`` of the two end points' doubles, the times a
-    table lists.  A float end point is a bare time.
+    table lists.  A float end point is a Time of that remainder.
     """
 
     start: Time
@@ -130,7 +137,8 @@ class TimeGrid:
             raise JcmError("steps must be >= 2")
         object.__setattr__(self, "start", _as_time(self.start))
         object.__setattr__(self, "stop", _as_time(self.stop))
-        with np.errstate(invalid="ignore", over="ignore"):  # the kernels reject inf/nan
+        # ends too far apart overflow the step; the kernels refuse them (past 2^40)
+        with np.errstate(invalid="ignore", over="ignore"):
             taus = np.linspace(float(self.start), float(self.stop), self.steps)
         taus.setflags(write=False)
         object.__setattr__(self, "taus", taus)
@@ -315,11 +323,9 @@ def _support(*moduli: np.ndarray) -> slice:
 
 
 def _check_time(params: ModelParams, tau_abs: float) -> None:
-    """Refuse a largest time ``tau_abs`` that is not finite, or whose largest
-    phase W_n tau_abs passes ``_MAX_PHASE``.  The caller passes the time of
-    the float part of its phases (see ``_MAX_PHASE``)."""
-    if not math.isfinite(tau_abs):
-        raise JcmError("tau must be finite")
+    """Refuse a largest time ``tau_abs`` whose largest phase W_n tau_abs
+    passes ``_MAX_PHASE``.  The caller passes the time of the float part of
+    its phases (see ``_MAX_PHASE``)."""
     phase = tau_abs * float(params.frequencies[-1])
     if not phase <= _MAX_PHASE:  # also NaN
         raise JcmError(f"tau = {tau_abs:.6g} reaches phase W_n tau = {phase:.3e} rad, "
@@ -359,7 +365,7 @@ def evolve(params: ModelParams, tau: float) -> JointState:
     t = _as_time(tau)
     q, (p,), (excess,) = _reduce([t.pi_part], t.pi_part.denominator)
     rest = t.rest + excess
-    _check_time(params, abs(rest) if params.mode is RabiMode.QUADRATIC else abs(t))
+    _check_time(params, abs(rest) if params.mode is RabiMode.QUADRATIC else abs(float(t)))
     f = _phase_factors(params, slice(None), q, np.array([p % (2 * q)]),
                        np.array([rest]), np.array([float(t)]))[0]
     c = params.amplitudes
@@ -383,15 +389,6 @@ def atom_density(state: JointState) -> AtomDensity:
     # phase out so the coherence lands in the closed-form convention.
     rho12 = -1j * complex(np.sum(state.ground * np.conj(state.excited)))
     return AtomDensity(rho11=rho11, rho22=rho22, rho12=rho12)
-
-
-def _float_chunks(params: ModelParams, window: slice, taus: np.ndarray, rows: int):
-    """(first row, |C_n| e^{i W_n tau}) for each chunk of ``rows`` bare float times."""
-    zeros = np.zeros(rows, dtype=np.int64)
-    moduli = np.abs(params.amplitudes[window])
-    for j0 in range(0, len(taus), rows):
-        t = taus[j0:j0 + rows]
-        yield j0, _phase_factors(params, window, 1, zeros[:len(t)], t, t) * moduli
 
 
 def _grid_chunks(params: ModelParams, window: slice, grid: TimeGrid, rows: int):
@@ -427,25 +424,19 @@ def _grid_chunks(params: ModelParams, window: slice, grid: TimeGrid, rows: int):
             yield j0, np.multiply(offsets[j0 - b:j1 - b], start_row, out=buffer[:j1 - j0])
 
 
-def atom_density_series(params: ModelParams, times) -> AtomDensity:
-    """``atom_density(evolve(params, tau))`` for every time tau of ``times``, as
+def atom_density_series(params: ModelParams, grid: TimeGrid) -> AtomDensity:
+    """``atom_density(evolve(params, tau))`` for every time tau of ``grid``, as
     arrays: rho22 = sum (|C_n| cos(W_n tau))^2, rho11 = sum (|C_n| sin(W_n tau))^2
     over n + k <= cutoff, rho12 = -sum u_n |C_n| sin(W_n tau) |C_{n+k}| cos(W_{n+k} tau)
     with the unit phases u_n = C_n conj(C_{n+k}) / |C_n C_{n+k}|.
 
-    ``times`` is a :class:`TimeGrid`, whose phases are exact in their pi
-    part (:func:`_grid_chunks`), or a sequence of bare float times.  The
+    The phases are exact in their pi part (:func:`_grid_chunks`).  The
     sums run over the support of |C_n| (:func:`_support`).
     The factors |C_n| e^{i W_n tau} are formed for chunks of times of at
     most ``_CHUNK_ENTRIES`` entries, and each sum runs along one row
     (numpy's pairwise sum), so no value depends on the chunking."""
-    if isinstance(times, TimeGrid):
-        n = times.steps
-        _check_time(params, max(abs(times.start), abs(times.stop)))
-    else:
-        taus = np.asarray(times, dtype=float).ravel()
-        n = taus.size
-        _check_time(params, float(np.abs(taus).max(initial=0.0)))
+    n = grid.steps
+    _check_time(params, max(abs(float(grid.start)), abs(float(grid.stop))))
     k = params.k
     moduli = np.abs(params.amplitudes)
     window = _support(moduli)
@@ -454,11 +445,7 @@ def atom_density_series(params: ModelParams, times) -> AtomDensity:
     ground = max(0, params.cutoff - k + 1 - window.start)  # n + k <= cutoff: a prefix
     rho11, rho22, rho12 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // (window.stop - window.start))
-    if isinstance(times, TimeGrid):
-        chunks = _grid_chunks(params, window, times, rows)
-    else:
-        chunks = _float_chunks(params, window, taus, rows)
-    for j0, factors in chunks:
+    for j0, factors in _grid_chunks(params, window, grid, rows):
         block = slice(j0, j0 + len(factors))
         cos, sin = factors.real, factors.imag
         rho22[block] = np.square(cos).sum(axis=1)

@@ -249,5 +249,5 @@ def atomic_inversion(params: ModelParams, tau: float) -> float:
         angles = np.array(residues, dtype=float) * (math.pi / q)
         angles += 2.0 * params.frequencies * tau.rest
     else:
-        angles = 2.0 * params.frequencies * tau
+        angles = 2.0 * params.frequencies * float(tau)
     return float(np.sum(weights * np.cos(angles)))

@@ -30,15 +30,15 @@ def params():
 
 class TestDipOffset:
     def test_first_offset(self):
-        delta = dip_offset(1, NBAR)
+        delta = float(dip_offset(1, NBAR))
         assert delta == pytest.approx(DELTA1, abs=1e-15)
         assert abs(delta - 0.0039270) < 1e-6
 
     def test_sign_symmetry(self):
-        assert dip_offset(-1, NBAR) == -dip_offset(1, NBAR)
+        assert dip_offset(-1, NBAR) == -1 * dip_offset(1, NBAR)
 
     def test_linearity(self):
-        assert dip_offset(3, NBAR) == pytest.approx(3 * DELTA1, abs=1e-15)
+        assert float(dip_offset(3, NBAR)) == pytest.approx(3 * DELTA1, abs=1e-15)
 
     @pytest.mark.parametrize("r", [0, 2, -4])
     def test_even_rejected(self, r):
@@ -48,6 +48,16 @@ class TestDipOffset:
     def test_positive_nbar_required(self):
         with pytest.raises(JcmError, match="nbar must be > 0"):
             dip_offset(1, 0.0)
+
+    def test_past_the_double_range_refused(self):
+        # r pi / (16 nbar) at nbar 1e-300 is about 2e299 rad, not a double Time
+        with pytest.raises(JcmError, match=r"phases are past 2\^40"):
+            dip_offset(1, 1e-300)
+
+    def test_float_arithmetic_refused(self):
+        # the offset is an exact Time; adding it to a float would drop its pi part
+        with pytest.raises(TypeError):
+            math.pi / 4 + dip_offset(1, 50.0)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +123,7 @@ class TestCatState:
         delta = dip_offset(1, NBAR)
         cat, _ = expected_cat_state(ModelParams(k=4, alpha=ALPHA50, cutoff=260), delta)
         coh, _ = coherent_state(ALPHA50, 256)
-        closed = pnd_closed_near_quarter(np.abs(coh) ** 2, delta)
+        closed = pnd_closed_near_quarter(np.abs(coh) ** 2, float(delta))
         got = np.abs(cat) ** 2
         assert np.max(np.abs(got[:-4] - closed[4:])) < 2.5e-2
 
@@ -123,7 +133,7 @@ class TestCatState:
         n = 50
         gap = 8 * n + 4
         for r in (-5, -3, -1, 1, 3, 5):
-            angle = gap * (math.pi / 4 + dip_offset(r, NBAR))
+            angle = gap * (math.pi / 4 + float(dip_offset(r, NBAR)))
             dev = abs(math.remainder(angle - math.pi / 2, math.pi))
             assert dev <= max(0.02, abs(r) * math.pi / (4 * NBAR) * 1.01)
 
@@ -159,7 +169,7 @@ class TestTargetsMatchOwnCoherentStates:
         for r in (1, -3, 5):
             d = dip_offset(r, nbar)
             cat, pre_norm = expected_cat_state(params, d)
-            ref, ref_pre_norm = reference_cat(alpha, d, n)
+            ref, ref_pre_norm = reference_cat(alpha, float(d), n)
             assert np.max(np.abs(cat - ref)) < tol
             assert abs(pre_norm - ref_pre_norm) < 1e-13
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import jcm4
 from jcm4 import catlab, dynamics, fock, observables
 from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
+from jcm4.dynamics import Time
 from jcm4.errors import JcmError
 
 # small, fast configuration shared by the subcommand tests
@@ -59,14 +60,15 @@ class TestParseTau:
         ],
     )
     def test_values(self, expr, value):
-        assert parse_tau(expr) == pytest.approx(value, abs=1e-15)
+        assert float(parse_tau(expr)) == pytest.approx(value, abs=1e-15)
 
     def test_exact_rational_accumulation(self):
         # pi terms combine as exact fractions before any float rounding
         got = parse_tau("pi/8-pi/24000")
         frac = Fraction(1, 8) - Fraction(1, 24000)
         assert frac == Fraction(2999, 24000)
-        assert got == math.pi * frac.numerator / frac.denominator
+        assert got.pi_part == frac
+        assert float(got) == math.pi * frac.numerator / frac.denominator
 
     @pytest.mark.parametrize(
         "expr", ["", "pie", "pi/", "pi//4", "2x", "pi/4+", "++pi", "pi/0x3",
@@ -144,9 +146,20 @@ class TestPndCommand:
         rc = main(["pnd", *FAST, "--out", str(tmp_path), "--tau", "pi/4,pi/4",
                    "--tau", "PI/4", "--tau", "2*pi/8", "--tau", "2pi/8"])
         assert rc == 0
-        assert times == [math.pi / 4, math.pi / 4]
+        assert times == [Time(Fraction(1, 4)), Time(Fraction(1, 4))]
         assert capsys.readouterr().out.splitlines() == [
             str(tmp_path / "pnd_pi_4.csv"), str(tmp_path / "pnd_2pi_8.csv")]
+
+    def test_cutoff_equal_to_k(self, tmp_path):
+        # the smallest cutoff taken: the vacuum at pi/8 splits between |0,e>
+        # and |4,g> as cos^2(5 pi/8) and sin^2(5 pi/8)
+        rc = main(["pnd", "--nbar", "0", "--cutoff", "4", "--out", str(tmp_path),
+                   "--tau", "pi/8"])
+        assert rc == 0
+        p = np.loadtxt(tmp_path / "pnd_pi_8.csv", delimiter=",", skiprows=1)[:, 1]
+        assert abs(p[0] - (2 - math.sqrt(2)) / 4) < 1e-15
+        assert abs(p[4] - (2 + math.sqrt(2)) / 4) < 1e-15
+        assert np.all(p[1:4] == 0.0)
 
     def test_large_nbar_writes_finite_values(self, tmp_path):
         rc = main(["pnd", "--nbar", "2000", "--cutoff", "2400",
@@ -314,7 +327,8 @@ class TestCatcheckCommand:
         # density, pi/4 for the quarter-period entropy
         times = count_evolve(monkeypatch)
         assert main(["catcheck", *FAST, "--out", str(tmp_path)]) == 0
-        assert times == [math.pi / 2, math.pi / 4 + math.pi / 64, math.pi / 4]
+        assert times == [Time(Fraction(1, 2)), Time(Fraction(1, 4) + Fraction(1, 64)),
+                         Time(Fraction(1, 4))]
 
     def test_no_coherent_state_rebuilt(self, tmp_path, monkeypatch):
         # the Kerr and cat targets rotate the amplitudes ModelParams built
@@ -479,6 +493,8 @@ class TestErrorPaths:
          "tail_tol must be < 1"),
         (["pnd", "--nbar", "50", "--cutoff", "10", "--tail-tol", "2", "--tau", "0"],
          "tail_tol must be < 1"),
+        # inf - inf is a NaN remainder, which once gave NaN rows with exit 0
+        (["inversion", "--tau-max", "1e400-1e400", "--steps", "3"], "tau must be finite"),
     ]
 
     @pytest.mark.parametrize("argv,fragment", REFUSED,

@@ -105,7 +105,7 @@ class TestModelParams:
         for tau in (0.0, math.pi / 4):
             evolve(params, tau)
             atomic_inversion(params, tau)
-        atom_density_series(params, np.linspace(0.0, math.pi, 5))
+        atom_density_series(params, TimeGrid(0.0, math.pi, 5))
         assert calls == {"amplitudes": 1, "frequencies": 1, "tail": 1}
 
     @pytest.mark.parametrize("tail_tol", [1.0, 2.0])
@@ -208,12 +208,12 @@ class TestEvolve:
         assert past - 2.0 ** 40 / w < 4 * math.ulp(past)
         for t in (tau, -tau):
             evolve(params, t)
-            atom_density_series(params, [0.0, t])
+            atom_density_series(params, TimeGrid(0.0, t, 2))
         for t in (past, -past):
             with pytest.raises(JcmError, match=r"past 2\^40"):
                 evolve(params, t)
             with pytest.raises(JcmError, match=r"past 2\^40"):
-                atom_density_series(params, [0.0, t])
+                atom_density_series(params, TimeGrid(0.0, t, 2))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -309,6 +309,32 @@ def grid_time(grid, j):
                 grid.start.rest + j * (grid.stop.rest - grid.start.rest) / n)
 
 
+class TestTime:
+    def test_not_a_float(self):
+        t = Time(Fraction(1, 4), 1e-3)
+        assert not isinstance(Time(0), float)
+        assert float(t) == math.pi * 1 / 4 + 1e-3
+        for op in (lambda: t + 1.0, lambda: 1.0 - t, lambda: 2.0 * t, lambda: t * 0.5,
+                   lambda: t / 2, lambda: t < 1.0):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_exact_arithmetic(self):
+        a, b = Time(Fraction(1, 4), 0.5), Time(Fraction(1, 12), 0.25)
+        assert a + b == Time(Fraction(1, 3), 0.75)
+        assert a - b == Time(Fraction(1, 6), 0.25)
+        assert 3 * b == b * 3 == Time(Fraction(1, 4), 0.75)
+
+    def test_refuses_non_finite(self):
+        for pi_part, rest in ((0, math.nan), (0, math.inf), (Fraction(1, 4), -math.inf)):
+            with pytest.raises(JcmError, match="tau must be finite"):
+                Time(pi_part, rest)
+
+    def test_drops_an_exact_part_smaller_than_its_remainder(self):
+        t = Time(1, -3.0)  # pi - 3 = 0.14, below the remainder 3
+        assert (t.pi_part, t.rest) == (0, math.pi - 3.0)
+
+
 class TestAtomDensitySeries:
     @pytest.mark.parametrize("nbar", sorted(DIP_WINDOW))
     def test_matches_per_tau_reference(self, nbar):
@@ -331,30 +357,31 @@ class TestAtomDensitySeries:
 
     def test_single_time(self):
         params = ModelParams(k=4, alpha=2.0 + 1.0j, cutoff=40, mode=RabiMode.EXACT)
-        series = atom_density_series(params, [0.83])
+        series = atom_density_series(params, TimeGrid(0.0, 0.83, 2))
         ref = atom_density(evolve(params, 0.83))
-        assert series.rho11.shape == (1,)
-        assert abs(series.rho11[0] - ref.rho11) < 1e-15
-        assert abs(series.rho22[0] - ref.rho22) < 1e-15
-        assert abs(series.rho12[0] - ref.rho12) < 1e-15
+        assert series.rho11.shape == (2,)
+        assert abs(series.rho11[1] - ref.rho11) < 1e-15
+        assert abs(series.rho22[1] - ref.rho22) < 1e-15
+        assert abs(series.rho12[1] - ref.rho12) < 1e-15
 
     def test_chunking_does_not_change_values(self, monkeypatch):
         params = ModelParams(k=4, alpha=cmath.rect(ALPHA50, 0.3), cutoff=256)
-        taus = np.linspace(0.0, 2.0, 1201)
-        whole = atom_density_series(params, taus)
+        grid = TimeGrid(0.0, 2.0, 1201)
+        whole = atom_density_series(params, grid)
         modulus = np.abs(coherent_state(params.alpha, 256)[0])
         support = int(np.count_nonzero(modulus > dynamics._SUPPORT_FLOOR * modulus.max()))
-        # 7 taus per block: 171 full blocks and a last one of 4
+        # 7 taus per chunk: each 35-row block of the grid in five chunks,
+        # the last block of 11 rows in chunks of 7 and 4
         monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 7 * support + 3)
-        blocked = atom_density_series(params, taus)
+        blocked = atom_density_series(params, grid)
         for name in ("rho11", "rho22", "rho12"):
             assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
     def test_rejects_non_finite_tau(self):
-        with pytest.raises(JcmError, match="tau must be finite"):
-            atom_density_series(params50(), [0.0, math.inf, 1.0])
-        with pytest.raises(JcmError, match="tau must be finite"):
-            atom_density_series(params50(), [math.nan])
+        # a NaN in second place once slipped past a max() of the two ends
+        for start, stop in ((0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(JcmError, match="tau must be finite"):
+                atom_density_series(params50(), TimeGrid(start, stop, 3))
 
 
 def mp_density(params, tau_pi: Fraction, lo: int, hi: int):
