@@ -128,7 +128,7 @@ def post_selected_field(state: JointState) -> np.ndarray:
 
 
 def entropy_dip_scan(
-    params: ModelParams, center: float, halfwidth: float, steps: int
+    params: ModelParams, center: Time | float, halfwidth: Time | float, steps: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Sample the field entropy on [center - halfwidth, center + halfwidth].
 

@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 _SUPPORT_FLOOR = 1e-17  # the kernels keep the entries above this share of the peak
-# Entries of one (taus x support) chunk of the series kernel: 128 KiB of
-# complex phase factors and 64 KiB per float product, which the C allocator
-# reuses from the heap, so peak memory stays flat.
-_CHUNK_ENTRIES = 1 << 13
 # Largest float part of a phase a kernel takes: W_n |tau| in exact mode,
 # W_n |rest| in quadratic mode, whose pi part is reduced exactly.  For a
 # series it is W_n |tau| in every mode, since its rows are labelled by the
@@ -63,9 +59,10 @@ _MAX_PHASE = 2.0 ** 40
 # pi part of larger denominator is rounded to a multiple of pi/2^30, and the
 # difference, at most pi/2^31, joins the float remainder.
 _MAX_DENOMINATOR = 1 << 30
-# Entries of the series kernel's table of in-block phase factors (complex,
-# 256 KiB), which caps the factor period; see :func:`_grid_chunks`.
-_OFFSET_ENTRIES = 1 << 14
+# Entries of one (times x support) block of the series kernel, which caps
+# its block length: the complex offset table and block are 256 KiB each,
+# and each float product at most 128 KiB; see :func:`atom_density_series`.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -359,7 +356,7 @@ def _phase_factors(params: ModelParams, window: slice, q: int, ps: np.ndarray,
     return factors
 
 
-def evolve(params: ModelParams, tau: float) -> JointState:
+def evolve(params: ModelParams, tau: Time | float) -> JointState:
     """Joint state at scaled time tau (a :class:`Time` or a float) from the
     closed-form solution."""
     t = _as_time(tau)
@@ -391,66 +388,53 @@ def atom_density(state: JointState) -> AtomDensity:
     return AtomDensity(rho11=rho11, rho22=rho22, rho12=rho12)
 
 
-def _grid_chunks(params: ModelParams, window: slice, grid: TimeGrid, rows: int):
-    """(first row, |C_n| e^{i W_n tau}) for chunks of at most ``rows`` times of ``grid``.
-
-    Row j = b + o of the block starting at row b is the block's start row
-    times the offset row o, both exactly reduced: e^{i W (tau_b + o step)}.
-    The P offset rows, scaled by |C_n|, are computed once, capped at
-    ``_OFFSET_ENTRIES``, and each start row when its block is reached, so
-    steps/P + P rows are evaluated.  P depends on the grid and the support
-    width only.  The chunks are views of one buffer, valid until the next
-    one is drawn.
-    """
-    n, start, stop = grid.steps, grid.start, grid.stop
-    width = window.stop - window.start
-    step = (stop.pi_part - start.pi_part) / (n - 1)
-    q, (p0, dp), (excess0, dexcess) = _reduce(
-        (start.pi_part, step), math.lcm(start.pi_part.denominator, step.denominator))
-    rest0 = start.rest + excess0
-    drest = (stop.rest - start.rest) / (n - 1) + dexcess
-    two_q = 2 * q
-    period = min(math.isqrt(n - 1) + 1, max(1, _OFFSET_ENTRIES // width))
-    o = np.arange(period)
-    offsets = _phase_factors(params, window, q, o * (dp % two_q) % two_q, o * drest,
-                             grid.taus[:period] - grid.taus[0])
-    offsets *= np.abs(params.amplitudes[window])
-    buffer = np.empty((min(rows, period), width), dtype=complex)
-    for b in range(0, n, period):
-        start_row = _phase_factors(params, window, q, np.array([(p0 + b * dp) % two_q]),
-                                   np.array([rest0 + b * drest]), grid.taus[b:b + 1])[0]
-        for j0 in range(b, min(b + period, n), rows):
-            j1 = min(j0 + rows, b + period, n)
-            yield j0, np.multiply(offsets[j0 - b:j1 - b], start_row, out=buffer[:j1 - j0])
-
-
 def atom_density_series(params: ModelParams, grid: TimeGrid) -> AtomDensity:
     """``atom_density(evolve(params, tau))`` for every time tau of ``grid``, as
     arrays: rho22 = sum (|C_n| cos(W_n tau))^2, rho11 = sum (|C_n| sin(W_n tau))^2
     over n + k <= cutoff, rho12 = -sum u_n |C_n| sin(W_n tau) |C_{n+k}| cos(W_{n+k} tau)
     with the unit phases u_n = C_n conj(C_{n+k}) / |C_n C_{n+k}|.
 
-    The phases are exact in their pi part (:func:`_grid_chunks`).  The
-    sums run over the support of |C_n| (:func:`_support`).
-    The factors |C_n| e^{i W_n tau} are formed for chunks of times of at
-    most ``_CHUNK_ENTRIES`` entries, and each sum runs along one row
-    (numpy's pairwise sum), so no value depends on the chunking."""
-    n = grid.steps
-    _check_time(params, max(abs(float(grid.start)), abs(float(grid.stop))))
+    The sums run over the support of |C_n| (:func:`_support`), for blocks
+    of P times.  Row j = b + o of the block starting at row b is the
+    block's start row times the offset row o, both exactly reduced:
+    |C_n| e^{i W (tau_b + o step)}.  The P offset rows, scaled by |C_n|,
+    are computed once, and each start row when its block is reached, so
+    steps/P + P rows are evaluated.  P is at most sqrt(steps) + 1, and a
+    block holds at most ``_BLOCK_ENTRIES`` entries or one row, so P depends
+    on the grid and the support width only.  Each sum runs along one row
+    (numpy's pairwise sum)."""
+    n, start, stop = grid.steps, grid.start, grid.stop
+    _check_time(params, max(abs(float(start)), abs(float(stop))))
     k = params.k
     moduli = np.abs(params.amplitudes)
     window = _support(moduli)
+    width = window.stop - window.start
     units = params.amplitudes[window] / moduli[window]
     cross = units[:-k] * np.conj(units[k:])
     ground = max(0, params.cutoff - k + 1 - window.start)  # n + k <= cutoff: a prefix
+    step = (stop.pi_part - start.pi_part) / (n - 1)
+    q, (p0, dp), (excess0, dexcess) = _reduce(
+        (start.pi_part, step), math.lcm(start.pi_part.denominator, step.denominator))
+    rest0 = start.rest + excess0
+    drest = (stop.rest - start.rest) / (n - 1) + dexcess
+    two_q = 2 * q
+    period = min(math.isqrt(n - 1) + 1, max(1, _BLOCK_ENTRIES // width))
+    o = np.arange(period)
+    offsets = _phase_factors(params, window, q, o * (dp % two_q) % two_q, o * drest,
+                             grid.taus[:period] - grid.taus[0])
+    offsets *= moduli[window]
+    factors = np.empty_like(offsets)
     rho11, rho22, rho12 = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    rows = max(1, _CHUNK_ENTRIES // (window.stop - window.start))
-    for j0, factors in _grid_chunks(params, window, grid, rows):
-        block = slice(j0, j0 + len(factors))
-        cos, sin = factors.real, factors.imag
-        rho22[block] = np.square(cos).sum(axis=1)
-        rho11[block] = np.square(sin[:, :ground]).sum(axis=1)
+    for b in range(0, n, period):
+        start_row = _phase_factors(params, window, q, np.array([(p0 + b * dp) % two_q]),
+                                   np.array([rest0 + b * drest]), grid.taus[b:b + 1])[0]
+        rows = slice(b, min(b + period, n))
+        size = rows.stop - b
+        block = np.multiply(offsets[:size], start_row, out=factors[:size])
+        cos, sin = block.real, block.imag
+        rho22[rows] = np.square(cos).sum(axis=1)
+        rho11[rows] = np.square(sin[:, :ground]).sum(axis=1)
         mixed = sin[:, :-k] * cos[:, k:]
-        rho12[block] = -((mixed * cross.real).sum(axis=1)
-                         + 1j * (mixed * cross.imag).sum(axis=1))
+        rho12[rows] = -((mixed * cross.real).sum(axis=1)
+                        + 1j * (mixed * cross.imag).sum(axis=1))
     return AtomDensity(rho11=rho11, rho22=rho22, rho12=rho12)

@@ -234,7 +234,7 @@ def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray, window: slice) -> np.
     return (np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi
 
 
-def atomic_inversion(params: ModelParams, tau: float) -> float:
+def atomic_inversion(params: ModelParams, tau: Time | float) -> float:
     """Population inversion W(tau) = sum |C_n|^2 cos(2 W_n tau), in [-1, 1].
 
     Equals rho22 - rho11 of the evolved state; this direct sum is the

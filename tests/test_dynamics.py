@@ -335,6 +335,14 @@ class TestTime:
         assert (t.pi_part, t.rest) == (0, math.pi - 3.0)
 
 
+class TestSupport:
+    @pytest.mark.parametrize("scale", [2.0 ** -40, 2.0 ** 40], ids=["2^-40", "2^40"])
+    def test_floor_is_relative_to_the_peak(self, scale):
+        # scaling by a power of two is exact, so the window moves by no entry
+        modulus = np.abs(params50().amplitudes)
+        assert dynamics._support(scale * modulus) == dynamics._support(modulus)
+
+
 class TestAtomDensitySeries:
     @pytest.mark.parametrize("nbar", sorted(DIP_WINDOW))
     def test_matches_per_tau_reference(self, nbar):
@@ -364,18 +372,22 @@ class TestAtomDensitySeries:
         assert abs(series.rho22[1] - ref.rho22) < 1e-15
         assert abs(series.rho12[1] - ref.rho12) < 1e-15
 
-    def test_chunking_does_not_change_values(self, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_boundaries_match_evolve(self, monkeypatch, rows):
+        # blocks of 1 row (every row a start row) and of 7 rows (171 blocks
+        # and a last one of 4) over the exact dip window; every row must
+        # still agree with its own evolve
         params = ModelParams(k=4, alpha=cmath.rect(ALPHA50, 0.3), cutoff=256)
-        grid = TimeGrid(0.0, 2.0, 1201)
-        whole = atom_density_series(params, grid)
-        modulus = np.abs(coherent_state(params.alpha, 256)[0])
+        grid = dip_window(50.0)
+        modulus = np.abs(params.amplitudes)
         support = int(np.count_nonzero(modulus > dynamics._SUPPORT_FLOOR * modulus.max()))
-        # 7 taus per chunk: each 35-row block of the grid in five chunks,
-        # the last block of 11 rows in chunks of 7 and 4
-        monkeypatch.setattr(dynamics, "_CHUNK_ENTRIES", 7 * support + 3)
-        blocked = atom_density_series(params, grid)
-        for name in ("rho11", "rho22", "rho12"):
-            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        monkeypatch.setattr(dynamics, "_BLOCK_ENTRIES", rows * support + 3)
+        series = atom_density_series(params, grid)
+        for j in range(grid.steps):
+            ref = atom_density(evolve(params, grid_time(grid, j)))
+            assert abs(series.rho11[j] - ref.rho11) < 1e-15
+            assert abs(series.rho22[j] - ref.rho22) < 1e-15
+            assert abs(series.rho12[j] - ref.rho12) < 1e-15
 
     def test_rejects_non_finite_tau(self):
         # a NaN in second place once slipped past a max() of the two ends
@@ -462,8 +474,9 @@ class TestExactPhases:
 
     def test_dip_window_scan_memory(self):
         # tracemalloc peak of one 1201-step scan at nbar 5000: 0.54 MB for the
-        # float-phase kernel, 0.80 MB here with the offset table capped at 256
-        # KiB, 1.29 MB uncapped (35 rows); the bound is twice the first
+        # float-phase kernel, 1.04 MB here with 12-row blocks of at most 256
+        # KiB (0.79 MB when each block was cut into chunks of 6 rows, 1.29 MB
+        # with 35-row blocks); the bound is twice the first
         params = ModelParams(k=4, alpha=math.sqrt(5000.0), cutoff=5470)
         grid = dip_window(5000.0)
         atom_density_series(params, grid)
