@@ -147,30 +147,43 @@ def entropy_dip_scan(
 
 def _label(mask: np.ndarray) -> np.ndarray:
     """4-connected components of a 2-D boolean mask, numbered 1.. in the raster
-    order of their first cell (0 marks the background), by a flood fill over
-    the flat indices of the cells set."""
-    nx = mask.shape[1]
-    cells = np.flatnonzero(mask).tolist()
-    unvisited = set(cells)
-    labels = np.zeros(mask.size, dtype=np.intp)
-    count = 0
-    for seed in cells:
-        if seed not in unvisited:
-            continue
-        unvisited.remove(seed)
-        count += 1
-        component, stack = [], [seed]
-        while stack:
-            i = stack.pop()
-            component.append(i)
-            col = i % nx
-            # a left or right step off the row's end is no neighbour
-            for j in (i - nx, i + nx, i - 1 if col else -1, i + 1 if col + 1 < nx else -1):
-                if j in unvisited:
-                    unvisited.remove(j)
-                    stack.append(j)
-        labels[component] = count
-    return labels.reshape(mask.shape)
+    order of their first cell (0 marks the background).
+
+    The set cells of each row form runs [start, stop), found where the
+    zero-padded row steps up or down.  Runs of adjacent rows whose columns
+    overlap are joined, each set of joined runs keeping its earliest run as
+    root, and that run holds the component's first cell."""
+    rows = mask.shape[0]
+    padded = np.zeros((rows, mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    steps = np.diff(padded, axis=1)
+    run_rows, start_cols = np.nonzero(steps == 1)  # raster order
+    stop_cols = np.nonzero(steps == -1)[1]
+    starts, stops = start_cols.tolist(), stop_cols.tolist()
+    first = np.searchsorted(run_rows, np.arange(rows + 1)).tolist()  # row r: first[r]..
+    root = list(range(len(starts)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for r in range(rows - 1):
+        # sweep the runs of rows r and r + 1, stepping past the one that ends first
+        i, j = first[r], first[r + 1]
+        while i < first[r + 1] and j < first[r + 2]:
+            if starts[i] < stops[j] and starts[j] < stops[i]:
+                a, b = find(i), find(j)
+                root[max(a, b)] = min(a, b)
+            if stops[i] < stops[j]:
+                i += 1
+            else:
+                j += 1
+    _, component = np.unique([find(i) for i in range(len(starts))], return_inverse=True)
+    labels = np.zeros(mask.shape, dtype=np.intp)
+    labels[mask] = np.repeat(component + 1, stop_cols - start_cols)
+    return labels
 
 
 def count_components(grid: PhaseGrid, threshold_fraction: float) -> tuple[float, ...]:

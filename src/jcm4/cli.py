@@ -250,10 +250,10 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
     masses = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
     # the coordinates are formatted once; each grid row is one % of a
-    # template that holds them
+    # template that holds them, head + tail_0 + head + tail_1 + ...
     heads = ["%.17g," % x for x in grid.res.tolist()]
     tails = ["%.17g,%%.17g\n" % y for y in grid.ims.tolist()]
-    rows = ("".join([head + t for t in tails]) % tuple(row.tolist())
+    rows = ((head + head.join(tails)) % tuple(row.tolist())
             for head, row in zip(heads, grid.values))
     sidecar = _json({
         "tau": tau,

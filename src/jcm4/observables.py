@@ -29,13 +29,15 @@ __all__ = [
 
 LN2 = math.log(2.0)
 
-# Grid points per block of the Q recurrence.  The five complex working
-# arrays of a block then take 320 KiB, which stays in a 2 MiB L2 cache
-# through the steps over the support (166 at nbar 50, 1329 at 5000); the
-# whole 241x241 grid at once (4.5 MiB) does not, and took 0.15 s per grid
-# against 0.10 s in blocks over 257 steps.  Blocks of 1024 pay more in
+# Grid points per block of the Q recurrence.  The working arrays of a block
+# (the stacked dyad sums and their product, two complex rows each, and three
+# one-row arrays) take 448 KiB, which stays in a 2 MiB L2 cache through the
+# steps over the support (166 at nbar 50, 1329 at 5000); the whole 241x241
+# grid at once (4.5 MiB) does not.  Over 257 steps, 8192 points took
+# 0.081-0.095 s per grid against 0.10 s at 4096, and the stacked dyads lowered
+# the traced phase_space q_grid self time further; blocks of 1024 pay more in
 # per-call overhead than they save (0.21 s).
-_Q_BLOCK = 4096
+_Q_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -174,9 +176,11 @@ def q_grid(
         ys = np.linspace(im_min, im_max, ny)
         bc = (xs[:, None] - 1j * ys[None, :]).ravel()  # conj(beta), row-major in re
         q = np.empty(bc.size)
+        # (u_n, v_n) as one column per n, so one product scales the term by both
+        dyads = np.stack((field.u[support], field.v[support]), axis=1)[:, :, None]
         for start in range(0, bc.size, _Q_BLOCK):
             block = slice(start, start + _Q_BLOCK)
-            q[block] = _q_block(bc[block], field.u, field.v, support)
+            q[block] = _q_block(bc[block], dyads, support.start)
         q = q.reshape(nx, ny)
     if not np.all(np.isfinite(q)):
         raise JcmError(f"non-finite Q on window {window} at {nx}x{ny}")
@@ -207,31 +211,33 @@ def _q_seed(bc: np.ndarray, lo: int) -> np.ndarray:
     return np.exp(lo / 2.0 * (np.log1p(t) - t) + r / 2.0)
 
 
-def _q_block(bc: np.ndarray, u: np.ndarray, v: np.ndarray, window: slice) -> np.ndarray:
+def _q_block(bc: np.ndarray, dyads: np.ndarray, lo: int) -> np.ndarray:
     """Q at the points conj(beta) = ``bc``: (|<beta|u>|^2 + |<beta|v>|^2)/pi,
-    summed over the support ``window`` = [lo, hi) of u and v.
+    summed over the support [lo, lo + len(dyads)) of u and v, whose entries
+    ``dyads[n - lo]`` holds as the column (u_n, v_n).
 
     The terms are e^{i lo arg beta} <beta|n>, from the seed |<beta|lo>|
     (:func:`_q_seed`) by the recurrence term_{n+1} = term_n conj(beta) /
     sqrt(n+1); the phase is common to every n at a point, so Q drops it.
-    The working arrays are allocated once and reused.  The step
-    bc / sqrt(n+1) is taken as a multiply of the float view by the
-    reciprocal, which is how numpy divides a complex by a real: the same
-    bits without a complex division.  Each complex product goes to an array
-    that is neither factor: numpy rounds a product written over one of its
-    one-point factors differently, which a one-point last block would show."""
-    term = _q_seed(bc, window.start).astype(complex)
-    su = np.zeros_like(term)
-    sv = np.zeros_like(term)
+    Both dyad sums are the two rows of one accumulator: each step is one
+    broadcast product term x (u_n, v_n) and one add.  The working arrays
+    are allocated once and reused.  The step bc / sqrt(n+1) is taken as a
+    multiply of the float view by the reciprocal, which is how numpy divides
+    a complex by a real: the same bits without a complex division.  Each
+    complex product goes to an array that is neither factor: numpy rounds a
+    product written over one of its one-point factors differently, which a
+    one-point last block would show."""
+    term = _q_seed(bc, lo).astype(complex)
+    sums = np.zeros((2, term.size), dtype=complex)
+    prod = np.empty_like(sums)
     tmp = np.empty_like(term)
     nxt = np.empty_like(term)
     bc_parts, tmp_parts = bc.view(float), tmp.view(float)  # (re, im) pairs
-    for n in range(window.start, window.stop):
-        su += np.multiply(term, u[n], out=tmp)
-        sv += np.multiply(term, v[n], out=tmp)
+    for n, uv in enumerate(dyads, lo):
+        sums += np.multiply(term, uv, out=prod)
         np.multiply(bc_parts, 1.0 / math.sqrt(n + 1), out=tmp_parts)
         term, nxt = np.multiply(term, tmp, out=nxt), term
-    return (np.abs(su) ** 2 + np.abs(sv) ** 2) / math.pi
+    return (np.abs(sums[0]) ** 2 + np.abs(sums[1]) ** 2) / math.pi
 
 
 def atomic_inversion(params: ModelParams, tau: Time | float) -> float:

@@ -271,7 +271,7 @@ class TestBlockedQKernel:
 
     @pytest.mark.parametrize("expr", SPECIAL_TIMES)
     def test_bitwise_equal_to_whole_grid_recurrence(self, params, expr):
-        # 241^2 = 14 blocks of 4096 points and one of 737
+        # 241^2 = 7 blocks of 8192 points and one of 737
         field = field_rank2(evolve(params, parse_tau(expr)))
         got = q_grid(field, self.WINDOW, 241, 241).values
         assert got.tobytes() == q_whole_grid(field, self.WINDOW, 241, 241).tobytes()
