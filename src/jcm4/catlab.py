@@ -26,7 +26,7 @@ from .dynamics import (
     evolve,
 )
 from .errors import JcmError
-from .fock import fidelity, kerr_state
+from .fock import _norm_sq, fidelity, kerr_state
 from .observables import PhaseGrid, entropy
 
 __all__ = [
@@ -76,7 +76,7 @@ def _kerr_target(params: ModelParams, theta: float, gamma: float) -> np.ndarray:
         raise JcmError(f"Kerr target phases reach {phase:.3e} rad, past 2^40, "
                        "where their float rounding exceeds 2.4e-4 rad")
     rotated = c * np.exp(1j * theta * np.arange(len(c)))
-    return kerr_state(rotated / np.linalg.norm(rotated), gamma)
+    return kerr_state(rotated / math.sqrt(_norm_sq(rotated)), gamma)
 
 
 def expected_kerr_state(params: ModelParams) -> np.ndarray:
@@ -113,7 +113,7 @@ def expected_cat_state(params: ModelParams, delta: Time | float) -> tuple[np.nda
     branch_minus = _kerr_target(params, math.pi / 2 - 6 * d, -math.pi / 2 - 2 * d)
     raw = (np.exp(5j * tau) * branch_plus
            - np.exp(-5j * tau) * branch_minus) / math.sqrt(2.0)
-    pre_norm = float(np.linalg.norm(raw))
+    pre_norm = math.sqrt(_norm_sq(raw))
     return raw / pre_norm, pre_norm
 
 
@@ -121,7 +121,7 @@ def post_selected_field(state: JointState) -> np.ndarray:
     """Normalized field conditioned on detecting the atom in |g>, with the
     k-photon index shift of the ground branch removed, so the result lives
     on |0>..|cutoff - k> and compares against states written over |n>."""
-    norm_sq = float(np.vdot(state.ground, state.ground).real)
+    norm_sq = _norm_sq(state.ground)
     if norm_sq <= 1e-12:
         raise JcmError(f"outcome 'g' has probability {norm_sq:.3e}")
     return (state.ground / math.sqrt(norm_sq))[state.k:]

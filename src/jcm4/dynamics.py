@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import JcmError
-from .fock import DEFAULT_TAIL_TOL, _check_tail, _normalized_amplitudes
+from .fock import DEFAULT_TAIL_TOL, _check_tail, _norm_sq, _normalized_amplitudes
 
 __all__ = [
     "Time",
@@ -380,8 +380,8 @@ def field_rank2(state: JointState) -> FieldRank2:
 
 def atom_density(state: JointState) -> AtomDensity:
     """Reduced 2x2 atomic density matrix (trace over the field)."""
-    rho22 = float(np.vdot(state.excited, state.excited).real)
-    rho11 = float(np.vdot(state.ground, state.ground).real)
+    rho22 = _norm_sq(state.excited)
+    rho11 = _norm_sq(state.ground)
     # <g|rho|e> = sum_n ground[n] conj(excited[n]); rotate the -i branch
     # phase out so the coherence lands in the closed-form convention.
     rho12 = -1j * complex(np.sum(state.ground * np.conj(state.excited)))

@@ -65,10 +65,16 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return moduli * np.cumprod(phases)
 
 
+def _norm_sq(a: np.ndarray) -> float:
+    """sum |a_n|^2, summed by numpy, not BLAS, whose dot products round
+    differently with the number of threads it splits them over."""
+    return float(np.sum(a.real * a.real + a.imag * a.imag))
+
+
 def _normalized_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Coherent amplitudes renormalized over 0..cutoff (no tail check)."""
     amps = coherent_amplitudes(alpha, cutoff)
-    amps /= np.linalg.norm(amps)
+    amps /= math.sqrt(_norm_sq(amps))
     return amps
 
 
@@ -139,10 +145,11 @@ def kerr_state(amplitudes: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """Inner product <a|b> = sum conj(a_n) b_n of two amplitude arrays."""
+    """Inner product <a|b> = sum conj(a_n) b_n of two amplitude arrays, summed
+    by numpy (see :func:`_norm_sq`)."""
     if len(a) != len(b):
         raise JcmError(f"cutoffs differ: {len(a) - 1} vs {len(b) - 1}")
-    return complex(np.vdot(a, b))
+    return complex(np.sum(np.conj(a) * b))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -150,6 +157,6 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     state.  Dividing by the norms cancels their last-bit rounding, so the
     fidelity of a state with itself is exactly 1."""
     ov = overlap(a, b)
-    norms = float(np.vdot(a, a).real * np.vdot(b, b).real)
+    norms = overlap(a, a).real * overlap(b, b).real
     f = (ov.real * ov.real + ov.imag * ov.imag) / norms
     return min(f, 1.0)

@@ -595,3 +595,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catcheck", "--nbar", "20000", "--cutoff", "21000"],
+    ["pnd", "--tau", "pi/4", "--nbar", "20000", "--cutoff", "21000", "--alpha-phase", "0.3"],
+], ids=["catcheck", "pnd"])
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # OpenBLAS splits a dot product over its threads above about 1e4 entries,
+    # so a reduction through BLAS would round differently with 1 and 2 threads
+    src = str(Path(jcm4.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", "import sys, jcm4.cli; sys.exit(jcm4.cli.main())",
+                        *argv, "--out", str(out)], env=env, check=True, capture_output=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

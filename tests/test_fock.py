@@ -127,10 +127,18 @@ def test_fidelity_properties():
     a, _ = coherent_state(2.0, 64)
     b = kerr_state(a, 0.7)
     assert fidelity(a, a) == 1.0
+    assert fidelity(b, b) == 1.0
     assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-14
     assert 0.0 <= fidelity(a, b) <= 1.0
     # global phase invariance
     assert abs(fidelity(a, np.exp(0.41j) * a) - 1.0) < 1e-12
+
+
+def test_self_fidelity_is_one_past_the_blas_split():
+    # 20001 complex entries, past the length at which BLAS would split a dot
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=20001) + 1j * rng.normal(size=20001)
+    assert fidelity(a, a) == 1.0
 
 
 def test_fidelity_coherent_vs_kerr_high_precision_oracle():
