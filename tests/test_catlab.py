@@ -81,6 +81,15 @@ class TestHalfPeriodKerr:
     def test_simulated_ground_branch_matches(self, params):
         assert kerr_fidelity_at_half_period(params) > 1.0 - 1e-8
 
+    def test_phase_bound_at_2_40(self):
+        # the bound pi n + pi n(n-1)/2 over the target's |0>..|n>, n = cutoff - 4,
+        # is 1.0995113617e12 < 2^40 at n = 836642 and 1.0995139901e12 > 2^40 at
+        # 836643: the first cutoff refused is 836647
+        target = expected_kerr_state(ModelParams(k=4, alpha=ALPHA50, cutoff=836646))
+        assert len(target) == 836643 and abs(np.sum(np.abs(target) ** 2) - 1.0) < 1e-12
+        with pytest.raises(JcmError, match=r"Kerr target phases reach 1\.100e\+12 rad, past 2\^40"):
+            expected_kerr_state(ModelParams(k=4, alpha=ALPHA50, cutoff=836647))
+
 
 class TestPostSelection:
     def test_initial_excited_is_coherent(self, params):
