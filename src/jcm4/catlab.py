@@ -160,7 +160,8 @@ def _label(mask: np.ndarray) -> np.ndarray:
     run_rows, start_cols = np.nonzero(steps == 1)  # raster order
     stop_cols = np.nonzero(steps == -1)[1]
     starts, stops = start_cols.tolist(), stop_cols.tolist()
-    first = np.searchsorted(run_rows, np.arange(rows + 1)).tolist()  # row r: first[r]..
+    # the runs of row r are first[r] .. first[r + 1] - 1
+    first = np.searchsorted(run_rows, np.arange(rows + 1)).tolist()
     root = list(range(len(starts)))
 
     def find(i: int) -> int:

@@ -30,13 +30,12 @@ __all__ = [
 LN2 = math.log(2.0)
 
 # Grid points per block of the Q recurrence.  The working arrays of a block
-# (the stacked dyad sums and their product, two complex rows each, and three
-# one-row arrays) take 448 KiB, which stays in a 2 MiB L2 cache through the
-# steps over the support (166 at nbar 50, 1329 at 5000); the whole 241x241
-# grid at once (4.5 MiB) does not.  Over 257 steps, 8192 points took
-# 0.081-0.095 s per grid against 0.10 s at 4096, and the stacked dyads lowered
-# the traced phase_space q_grid self time further; blocks of 1024 pay more in
-# per-call overhead than they save (0.21 s).
+# (the two-row dyad sums and their product, three one-row arrays, and the
+# block of conj(beta)) take 1 MiB, which stays in a 2 MiB L2 cache through
+# the steps over the support (166 at nbar 50, 1329 at 5000).  Measured on the
+# 241x241 grid at nbar 50 (Xeon, 2 MiB L2 per core): 46-49 ms per grid at
+# 8192 points, 49-53 ms at 4096, and 59-65 ms at 16384, whose 2 MiB of
+# working arrays spill the cache.
 _Q_BLOCK = 8192
 
 
