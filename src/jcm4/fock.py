@@ -135,8 +135,11 @@ def coherent_state(
 def kerr_state(amplitudes: np.ndarray, gamma: float) -> np.ndarray:
     """``amplitudes`` times the Kerr phase e^{i gamma n(n-1)/2}: |alpha> -> |alpha, gamma>.
 
-    gamma is reduced mod 2*pi first (exact for integer n(n-1)/2), which keeps
-    the phase accurate for the large quantum numbers near a 256-photon cutoff.
+    gamma is reduced mod 2*pi first.  That removes only whole turns of gamma,
+    and changes nothing for the |gamma| < 2 pi of every target this package
+    builds.  The product gamma n(n-1)/2 is still rounded as a float, by about
+    eps |gamma| n^2 / 2 rad; :func:`jcm4.catlab._kerr_target` bounds it by
+    refusing phases past 2^40.
     """
     n = np.arange(len(amplitudes), dtype=np.int64)
     half_pairs = (n * (n - 1)) // 2

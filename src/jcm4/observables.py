@@ -1,9 +1,10 @@
 """Observables of the evolving cavity field.
 
-Photon-number distributions (simulated plus independent closed-form
-evaluators for the special times), von Neumann entropy of the 2x2 atomic
-density matrix, the Husimi Q-function on phase-space grids, and the atomic
-population inversion.
+Photon-number distributions (simulated, and one independent closed form
+for the special times pi/4, pi/8 and the dips pi/4 + delta_r, exact in the
+pi part of the time), von Neumann entropy of the 2x2 atomic density matrix,
+the Husimi Q-function on phase-space grids, and the atomic population
+inversion.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .errors import JcmError
 __all__ = [
     "PhaseGrid",
     "pnd",
-    "pnd_closed_quarter",
-    "pnd_closed_eighth",
-    "pnd_closed_near_quarter",
+    "pnd_closed",
     "entropy",
     "q_grid",
     "atomic_inversion",
@@ -84,55 +83,36 @@ def pnd(state: JointState) -> np.ndarray:
     return np.abs(state.excited) ** 2 + np.abs(state.ground) ** 2
 
 
-def _shifted_pair(moduli_sq: np.ndarray) -> np.ndarray:
-    """|C_n|^2 + |C_{n-4}|^2 with the second term absent below n = 4."""
-    out = moduli_sq.astype(float).copy()
-    out[4:] += moduli_sq[:-4]
-    return out
+def _angles(ints: np.ndarray, tau: Time) -> np.ndarray:
+    """The angles ``ints`` tau of integers ``ints`` at tau = pi p/q + rest:
+    the pi part reduced exactly in Python integers, as (ints p mod 2q) pi/q,
+    plus ints rest.  Its own arithmetic, apart from the dynamics kernel's
+    reduction, so that the closed forms stay independent references."""
+    p, q = tau.pi_part.numerator, tau.pi_part.denominator
+    angles = np.array([i * p % (2 * q) for i in ints.tolist()], dtype=float) * (math.pi / q)
+    angles += ints * tau.rest
+    return angles
 
 
-def pnd_closed_quarter(moduli_sq: np.ndarray) -> np.ndarray:
-    """Quarter-period distribution: the average of the tau=0 and tau=pi/2
-    Poissonians, P_n = (|C_n|^2 + |C_{n-4}|^2) / 2.
+def pnd_closed(moduli_sq: np.ndarray, tau: Time) -> np.ndarray:
+    """Closed-form distribution P_n = (|C_n|^2 + |C_{n-4}|^2) sin^2(W_{n-4} tau)
+    from the initial weights ``moduli_sq`` = |C_n|^2, with W_{n-4} = n^2 - 3n + 1
+    and the second weight absent below n = 4.
 
-    The residue of (n^2 - 3n + 1) mod 8 puts every phase at an odd multiple
-    of pi/4, so cos^2 = sin^2 = 1/2 exactly for every n.
+    The excited branch gives |C_n|^2 cos^2(W_n tau), and W_n - W_{n-4} =
+    8n + 4.  So the form is exact at tau = pi/4 (W_{n-4} is odd, and
+    cos^2 = sin^2 = 1/2 for every n) and at pi/8 (cos^2(W_n tau) =
+    sin^2(W_{n-4} tau), which is (2 - sqrt(2))/4 for n mod 8 in 0..3 and
+    (2 + sqrt(2))/4 in 4..7).  Near pi/4, at the dip times pi/4 + delta_r,
+    it is leading order in 1/nbar: the measured worst entry against
+    simulation at delta_1 is 0.38/nbar, 7.4e-3 at nbar = 50 and 7.6e-5 at
+    5000.
     """
     moduli_sq = np.asarray(moduli_sq, dtype=float)
-    return 0.5 * _shifted_pair(moduli_sq)
-
-
-def pnd_closed_eighth(moduli_sq: np.ndarray) -> np.ndarray:
-    """Eighth-period distribution with block factors by n mod 8:
-    (2 - sqrt(2))/4 for residues 0..3 and (2 + sqrt(2))/4 for residues 4..7.
-
-    Every entry with n >= 4 stays strictly positive, so the oscillation is
-    strong but not perfect at tau = pi/8 itself.
-    """
-    moduli_sq = np.asarray(moduli_sq, dtype=float)
-    n = np.arange(len(moduli_sq))
-    low = (2.0 - math.sqrt(2.0)) / 4.0
-    high = (2.0 + math.sqrt(2.0)) / 4.0
-    factors = np.where(n % 8 < 4, low, high)
-    return factors * _shifted_pair(moduli_sq)
-
-
-def pnd_closed_near_quarter(moduli_sq: np.ndarray, delta: float) -> np.ndarray:
-    """Near-quarter distribution at tau = pi/4 + delta:
-    P_n = (|C_n|^2 + |C_{n-4}|^2) sin^2[(n^2 - 3n + 1)(pi/4 + delta)].
-
-    Leading order in 1/nbar (it assumes |C_n| ~ |C_{n-4}|).  At
-    delta = delta_1 the measured worst entry against simulation is 0.38/nbar
-    at each of nbar = 50, 100, 400, 1400 and 5000: 7.4e-3 at nbar = 50,
-    7.6e-5 at 5000.
-    """
-    moduli_sq = np.asarray(moduli_sq, dtype=float)
+    pair = moduli_sq.copy()
+    pair[4:] += moduli_sq[:-4]
     n = np.arange(len(moduli_sq), dtype=np.int64)
-    phase_int = n * n - 3 * n + 1
-    # Split the phase into an exact mod-8 residue times pi/4 plus the small
-    # delta part; keeps the trig argument O(n^2 delta) instead of O(n^2).
-    args = (phase_int % 8) * (math.pi / 4.0) + phase_int * delta
-    return _shifted_pair(moduli_sq) * np.sin(args) ** 2
+    return pair * np.sin(_angles(n * n - 3 * n + 1, tau)) ** 2
 
 
 def entropy(rho: AtomDensity) -> float | np.ndarray:
@@ -243,16 +223,14 @@ def atomic_inversion(params: ModelParams, tau: Time | float) -> float:
     """Population inversion W(tau) = sum |C_n|^2 cos(2 W_n tau), in [-1, 1].
 
     Equals rho22 - rho11 of the evolved state; this direct sum is the
-    independent second route.  At a :class:`Time` pi p/q + rest in
-    quadratic mode it reduces 2 W_n p mod 2q itself, in Python integers,
-    apart from the dynamics kernel's reduction.
+    independent second route.  At a :class:`Time` in quadratic mode, where
+    every W_n is an integer, it reduces 2 W_n tau by :func:`_angles`.  In
+    exact mode W_n is a rounded square root, and at a float time there is
+    no pi part, so both take 2 W_n times the double of tau.
     """
     weights = np.abs(params.amplitudes) ** 2
     if isinstance(tau, Time) and params.mode is RabiMode.QUADRATIC:
-        p, q = tau.pi_part.numerator, tau.pi_part.denominator
-        residues = [2 * w * p % (2 * q) for w in params.frequencies.astype(np.int64).tolist()]
-        angles = np.array(residues, dtype=float) * (math.pi / q)
-        angles += 2.0 * params.frequencies * tau.rest
+        angles = _angles(2 * params.frequencies.astype(np.int64), tau)
     else:
         angles = 2.0 * params.frequencies * float(tau)
     return float(np.sum(weights * np.cos(angles)))

@@ -17,6 +17,7 @@ closed-form PND error stays at 0.38/nbar.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from jcm4.catlab import (
 from jcm4.dynamics import (
     ModelParams,
     RabiMode,
+    Time,
     atom_density,
     evolve,
     field_rank2,
@@ -41,9 +43,7 @@ from jcm4.observables import (
     atomic_inversion,
     entropy,
     pnd,
-    pnd_closed_eighth,
-    pnd_closed_near_quarter,
-    pnd_closed_quarter,
+    pnd_closed,
     q_grid,
 )
 
@@ -56,6 +56,8 @@ WINDOW = (-12.0, 12.0, -12.0, 12.0)
 LARGE_NBAR = 5000.0
 LARGE_CUTOFF = 5470
 LARGE_DELTA1 = math.pi / 80000.0
+
+QUARTER = Time(Fraction(1, 4))
 
 
 @pytest.fixture(scope="module")
@@ -115,9 +117,12 @@ def dip_measures(params, delta1):
     return s_plus, s_minus, worst
 
 
-def near_quarter_error(params, poisson, delta1):
-    sim = pnd(evolve(params, math.pi / 4 + delta1))
-    closed = pnd_closed_near_quarter(poisson, delta1)
+def near_quarter_error(params, poisson, nbar):
+    """Worst entry of the closed form at the exact pi/4 + delta_1 against the
+    simulation at the double pi/4 + delta_1."""
+    delta1 = dip_offset(1, nbar)
+    sim = pnd(evolve(params, math.pi / 4 + float(delta1)))
+    closed = pnd_closed(poisson, QUARTER + delta1)
     return float(np.max(np.abs(sim - closed)))
 
 
@@ -157,11 +162,11 @@ def test_criterion_4_entropy_dips(params, large_params, acceptance):
 def test_criterion_5_pnd_closed_forms(params, poisson, acceptance):
     err4 = np.max(np.abs(
         pnd(evolve(params, math.pi / 4))
-        - pnd_closed_quarter(poisson)
+        - pnd_closed(poisson, QUARTER)
     ))
     err8 = np.max(np.abs(
         pnd(evolve(params, math.pi / 8))
-        - pnd_closed_eighth(poisson)
+        - pnd_closed(poisson, Time(Fraction(1, 8)))
     ))
     shifted = pnd(evolve(params, math.pi / 8 - math.pi / 24000))
     zeros = [shifted[n] for n in (96, 99, 104, 107)]
@@ -172,8 +177,8 @@ def test_criterion_5_pnd_closed_forms(params, poisson, acceptance):
 
 def test_criterion_6_near_quarter_pnd(params, poisson, large_params, large_poisson,
                                       acceptance):
-    err = near_quarter_error(large_params, large_poisson, LARGE_DELTA1)
-    err50 = near_quarter_error(params, poisson, DELTA1)
+    err = near_quarter_error(large_params, large_poisson, LARGE_NBAR)
+    err50 = near_quarter_error(params, poisson, NBAR)
     acceptance(6, err < 5e-3, f"nbar=5000: max entrywise error={err:.3e} "
                               f"(target < 5e-3); nbar=50: {err50:.3e}")
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,10 @@ from jcm4.catlab import (
     kerr_fidelity_at_half_period,
     post_selected_field,
 )
-from jcm4.dynamics import ModelParams, RabiMode, atom_density, evolve, field_rank2
+from jcm4.dynamics import ModelParams, RabiMode, Time, atom_density, evolve, field_rank2
 from jcm4.errors import JcmError
 from jcm4.fock import coherent_state, fidelity, kerr_state
-from jcm4.observables import PhaseGrid, pnd_closed_near_quarter, q_grid
+from jcm4.observables import PhaseGrid, pnd_closed, q_grid
 
 ALPHA50 = math.sqrt(50.0)
 NBAR = 50.0
@@ -132,7 +133,7 @@ class TestCatState:
         delta = dip_offset(1, NBAR)
         cat, _ = expected_cat_state(ModelParams(k=4, alpha=ALPHA50, cutoff=260), delta)
         coh, _ = coherent_state(ALPHA50, 256)
-        closed = pnd_closed_near_quarter(np.abs(coh) ** 2, float(delta))
+        closed = pnd_closed(np.abs(coh) ** 2, Time(Fraction(1, 4)) + delta)
         got = np.abs(cat) ** 2
         assert np.max(np.abs(got[:-4] - closed[4:])) < 2.5e-2
 

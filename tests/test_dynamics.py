@@ -22,7 +22,7 @@ from jcm4.dynamics import (
 )
 from jcm4.errors import JcmError
 from jcm4.fock import coherent_state, fidelity
-from jcm4.observables import atomic_inversion, pnd, pnd_closed_quarter
+from jcm4.observables import atomic_inversion, pnd, pnd_closed
 
 ALPHA50 = math.sqrt(50.0)
 
@@ -445,7 +445,7 @@ class TestExactPhases:
     def test_quarter_period_pnd_at_1e5(self):
         params = ModelParams(k=4, alpha=math.sqrt(1e5), cutoff=102066)
         got = pnd(evolve(params, Time(Fraction(1, 4))))
-        want = pnd_closed_quarter(np.abs(params.amplitudes) ** 2)
+        want = pnd_closed(np.abs(params.amplitudes) ** 2, Time(Fraction(1, 4)))
         assert np.max(np.abs(got - want)) < 1e-15 * want.max()
 
     def test_denominator_past_the_int64_bound(self):

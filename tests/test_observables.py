@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from jcm4.dynamics import (
     FieldRank2,
     ModelParams,
     RabiMode,
+    Time,
     atom_density,
     evolve,
     field_rank2,
@@ -22,9 +24,7 @@ from jcm4.observables import (
     atomic_inversion,
     entropy,
     pnd,
-    pnd_closed_eighth,
-    pnd_closed_near_quarter,
-    pnd_closed_quarter,
+    pnd_closed,
     q_grid,
 )
 
@@ -32,6 +32,8 @@ ALPHA50 = math.sqrt(50.0)
 LN2 = math.log(2.0)
 # the times of the benchmark's phase-space workload
 SPECIAL_TIMES = ("0", "pi/8", "pi/4", "pi/2", "pi/4+pi/800")
+QUARTER = Time(Fraction(1, 4))
+EIGHTH = Time(Fraction(1, 8))
 
 
 @pytest.fixture(scope="module")
@@ -76,22 +78,22 @@ class TestPnd:
 class TestClosedForms:
     def test_quarter_matches_simulation(self, params, poisson50):
         sim = pnd(evolve(params, math.pi / 4))
-        closed = pnd_closed_quarter(poisson50)
+        closed = pnd_closed(poisson50, QUARTER)
         assert np.max(np.abs(sim - closed)) < 1e-10
 
     def test_quarter_is_average_of_endpoints(self, poisson50):
-        closed = pnd_closed_quarter(poisson50)
+        closed = pnd_closed(poisson50, QUARTER)
         displaced = np.zeros_like(poisson50)
         displaced[4:] = poisson50[:-4]
         assert np.max(np.abs(closed - 0.5 * (poisson50 + displaced))) < 1e-15
 
     def test_eighth_matches_simulation(self, params, poisson50):
         sim = pnd(evolve(params, math.pi / 8))
-        closed = pnd_closed_eighth(poisson50)
+        closed = pnd_closed(poisson50, EIGHTH)
         assert np.max(np.abs(sim - closed)) < 1e-10
 
     def test_eighth_block_factors(self, poisson50):
-        closed = pnd_closed_eighth(poisson50)
+        closed = pnd_closed(poisson50, EIGHTH)
         pair = poisson50.copy()
         pair[4:] += poisson50[:-4]
         low = (2.0 - math.sqrt(2.0)) / 4.0
@@ -103,13 +105,8 @@ class TestClosedForms:
         assert abs(closed[100] - high * pair[100]) < 1e-15  # residue 4
 
     def test_eighth_oscillation_not_perfect(self, poisson50):
-        closed = pnd_closed_eighth(poisson50)
+        closed = pnd_closed(poisson50, EIGHTH)
         assert np.all(closed[4:200] > 0.0)
-
-    def test_near_quarter_delta_zero_reduces_to_quarter(self, poisson50):
-        closed = pnd_closed_near_quarter(poisson50, 0.0)
-        quarter = pnd_closed_quarter(poisson50)
-        assert np.max(np.abs(closed - quarter)) < 1e-12
 
     @pytest.mark.parametrize("r,tol", [(1, 8e-3), (-1, 8e-3), (5, 3.5e-2)])
     def test_near_quarter_matches_simulation(self, params, poisson50, r, tol):
@@ -118,7 +115,7 @@ class TestClosedForms:
         # worst entry is 7.4e-3 at r=+-1 and grows linearly in |r|
         delta = r * math.pi / 800.0
         sim = pnd(evolve(params, math.pi / 4 + delta))
-        closed = pnd_closed_near_quarter(poisson50, delta)
+        closed = pnd_closed(poisson50, QUARTER + Time(Fraction(r, 800)))
         assert np.max(np.abs(sim - closed)) < tol
 
     def test_near_quarter_contrast_weakens_with_r(self, params):
@@ -126,6 +123,20 @@ class TestClosedForms:
         p1 = pnd(evolve(params, math.pi / 4 + math.pi / 800))
         p5 = pnd(evolve(params, math.pi / 4 + 5 * math.pi / 800))
         assert p1[40:61].min() < 0.2 * p5[40:61].min()
+
+    @pytest.mark.parametrize("nbar,cutoff", [(5000.0, 5470), (1e5, 102066)])
+    def test_near_quarter_against_mpmath(self, nbar, cutoff):
+        # the same formula at pi/4 + delta_1 in 40 digits, over nbar +- 5 sqrt(nbar);
+        # angles reach 1e10 rad at nbar 1e5, where a float delta read 4.9e-12
+        weights = np.abs(ModelParams(k=4, alpha=math.sqrt(nbar), cutoff=cutoff).amplitudes) ** 2
+        tau_pi = Fraction(1, 4) + Fraction(1, int(16 * nbar))
+        got = pnd_closed(weights, Time(tau_pi))
+        lo, hi = int(nbar - 5 * math.sqrt(nbar)), int(nbar + 5 * math.sqrt(nbar)) + 1
+        with mp.workdps(40):
+            tau = mp.pi * tau_pi.numerator / tau_pi.denominator
+            want = [float((mp.mpf(weights[n]) + mp.mpf(weights[n - 4]))
+                          * mp.sin((n * n - 3 * n + 1) * tau) ** 2) for n in range(lo, hi)]
+        assert np.max(np.abs(got[lo:hi] - want)) < 1e-14 * max(want)
 
 
 class TestEntropy:

@@ -14,6 +14,11 @@ metrics, operation counts and ``raw:`` lines (standard error); per workload
 and metric, the number of seeds on which the change is better than the
 parent; each side's commit; and the machine: usable CPUs, CPU model, and
 the Python and numpy versions.  It is written to the change checkout.
+
+Every run has ``PYTHONDONTWRITEBYTECODE=1``, so each process compiles the
+package afresh.  A checkout that holds a ``__pycache__`` under ``src/`` is
+refused before any run: its processes would read cached bytecode, which
+lowers ``peak_rss_mb`` and ``setup_s`` on that side only.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ def commit(checkout: Path) -> str:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=checkout, capture_output=True, text=True)
+                          cwd=checkout, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} failed:\n{done.stderr}")
     result = json.loads(done.stdout.splitlines()[-1])
@@ -74,6 +80,10 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, default=HERE, help="change checkout")
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if caches := sorted((checkout / "src").rglob("__pycache__")):
+            parser.error(f"{caches[0]} holds cached bytecode; remove every __pycache__ "
+                         f"under {checkout / 'src'}")
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
