@@ -132,22 +132,162 @@ class RunConfig:
         )
 
 
-# Rows of a CSV formatted by one % operation.
-_CSV_BLOCK = 4096
+# Values formatted at a time, in whole rows (whole grid rows of a Q CSV).
+# The formatter holds about 400 bytes a value, most of it its (values, 25)
+# gather index: consuming the 241 x 241 Q CSV peaks at 1.0 MB (tracemalloc)
+# at 2048 values, 2.0 MB at 4096 and 4.1 MB at 8192, and q_grid at 2.5 MB.
+# 4096 save under 0.5 ms of the 20 ms that CSV takes, but raise the peak RSS
+# of a run of the time-series commands (two-column CSVs) by up to 0.8 MB.
+_CSV_BLOCK = 2048
+
+_WIDTH = 25  # the longest %.17g text, -1.2345678901234567e-308, and one pad byte
+_K0, _K1 = -293, 342  # the powers 10^k of the formatter: k = 16 - X, X in -325..309
 
 Files = list[tuple[str, Iterable[str]]]  # (name in the output directory, text chunks)
+
+
+@functools.cache
+def _format_tables() -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of :func:`_text`, built on first use.
+
+    ``powers``: the columns (h1, h2, rest, b) of 10^k = (h1 + h2 + rest) 2^b,
+    h1 + h2 its [1, 2) mantissa rounded and split by :func:`_split`,
+    ``rest`` the rounded remainder; every ``int / int`` is correctly rounded.
+    ``quads``: each 4-digit chunk's ASCII digits as one little-endian
+    uint32; ``zeros``: its count of trailing zeros.  ``layouts``: the
+    positions, in a value's 28-byte source row (see :func:`_text`), of the
+    bytes of each text, by (sign, form, significant digits); the forms are
+    fixed point for each decimal exponent X in -4..16, then the exponent
+    form with 2 and with 3 exponent digits.  Position 1 is a zero byte."""
+    rows = []
+    for k in range(_K0, _K1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        b = num.bit_length() - den.bit_length()
+        num, den = (num, den << b) if b >= 0 else (num << -b, den)
+        if num < den:
+            num, b = 2 * num, b - 1
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        rows.append((h, (num * hd - hn * den) / (den * hd), b))
+    h, rest, b = np.array(rows).T
+    powers = *_split(h), rest, b.astype(np.int32)
+    n = np.arange(10 ** 4)
+    quads = sum((n // 10 ** (3 - i) % 10 + 48) * 256 ** i for i in range(4)).astype("<u4")
+    zeros = sum(n % 10 ** i == 0 for i in (1, 2, 3)) + (n == 0)
+    digit = [0, *range(4, 20)]
+    texts = []
+    for minus in ([], [20]):
+        for x in range(-4, 17):
+            for s in range(1, 18):
+                texts.append(minus + (digit[:x + 1] + [21] * (s > x + 1) + digit[x + 1:s]
+                                      if x >= 0 else [23, 21] + [23] * (-x - 1) + digit[:s]))
+        for exponent in ([24, 26, 27], [24, 25, 26, 27]):
+            for s in range(1, 18):
+                texts.append(minus + digit[:1] + [21] * (s > 1) + digit[1:s] + [22] + exponent)
+    layouts = b"".join(bytes(t).ljust(_WIDTH, b"\1") for t in texts)
+    return powers, quads, zeros, np.frombuffer(layouts, np.uint8).reshape(-1, _WIDTH)
+
+
+def _split(v):
+    """Veltkamp's split of doubles v into two halves of 26 bits, v = v1 + v2."""
+    c = v * 134217729.0
+    v1 = c - (c - v)
+    return v1, v - v1
+
+
+def _scaled(m, e, x, powers):
+    """m 2^e 10^(16 - x) as a double-double (hi, lo): Dekker's product of m
+    and 10^k's mantissa, exact, plus m times the mantissa's rounded rest."""
+    k = 16 - _K0 - x
+    h1, h2, rest, b = (column.take(k) for column in powers)
+    m1, m2 = _split(m)
+    p = m * (h1 + h2)
+    err = ((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2
+    s = e + b
+    return np.ldexp(p, s), np.ldexp(err + m * rest, s)
+
+
+def _decade(hi, lo):
+    """-1 where hi + lo lies below [1e16, 1e17), +1 above, else 0: hi - bound
+    is exact within a factor 2 of the bound (Sterbenz), and far above |lo|
+    beyond it."""
+    return ((hi - 1e17) + lo >= 0).astype(np.int64) - ((hi - 1e16) + lo < 0)
+
+
+def _text(values) -> np.ndarray:
+    """The bytes of ``"%.17g" % v`` for each double v, as zero-padded rows
+    of ``_WIDTH`` bytes.
+
+    The 17 digits D of |v| = m 2^e (``frexp``) and its decimal exponent X
+    come from y = |v| 10^(16 - X) as a double-double, X first estimated by
+    ``floor(log10)`` and moved by one if y falls outside [1e16, 1e17);
+    D = rint(y), half to even as ``%`` rounds, and D = 10^17 carries to
+    X + 1.  The values whose y lies within 1e-6 of a half, or still
+    outside the decade, are formatted by ``%``, as are NaN and infinities.
+    Each value's text is then gathered from its 28-byte source row: the
+    leading digit (byte 0), the other 16 digits (4..19), '-', '.', 'e',
+    '0' (20..23) and the exponent's sign and 3 digits (24..27)."""
+    powers, quads, zeros, layouts = _format_tables()
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    fallback = ~(a <= sys.float_info.max)  # NaN and infinities
+    ok = (a > 0) & ~fallback
+    a[~ok] = 1.0
+    m, e = np.frexp(a)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(m, e, x, powers)
+    move = _decade(hi, lo)
+    if (j := np.flatnonzero(move)).size:
+        x[j] += move[j]
+        hi[j], lo[j] = _scaled(m[j], e[j], x[j], powers)
+        fallback[j] |= _decade(hi[j], lo[j]) != 0
+    r = np.rint(lo)
+    fallback |= np.abs(np.abs(lo - r) - 0.5) < 1e-6
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    x += carry
+    d[~ok] = x[~ok] = 0  # a zero is "0" at X = 0
+    src = np.empty((len(v), 7), dtype="<u4")
+    lead, rest = np.divmod(d, 10 ** 16)
+    src[:, 0] = lead + 48
+    chunks = rest // 10 ** 12, rest // 10 ** 8 % 10 ** 4, rest // 10 ** 4 % 10 ** 4, rest % 10 ** 4
+    src[:, 1:5] = quads[np.stack(chunks, axis=1)]
+    src[:, 5] = 0x30652E2D  # "-.e0"
+    src[:, 6] = quads[np.abs(x)]
+    src.view(np.uint8)[:, 24] = np.where(x < 0, 45, 43)
+    tz = zeros[chunks[3]]
+    for i in (2, 1, 0):
+        tz += (tz == 12 - 4 * i) * zeros[chunks[i]]
+    form = np.where((x >= -4) & (x <= 16), x + 4, 21 + (np.abs(x) >= 100))
+    index = layouts.take((np.signbit(v) * 23 + form) * 17 + 16 - tz, axis=0).astype(np.intp)
+    index += np.arange(0, 28 * len(v), 28)[:, None]
+    text = src.view(np.uint8).take(index)
+    for i in np.flatnonzero(fallback):
+        old = ("%.17g" % v[i]).encode()
+        text[i] = 0
+        text[i, :len(old)] = np.frombuffer(old, np.uint8)
+    return text
+
+
+def _rows(cells: np.ndarray) -> str:
+    """Rows of comma-separated texts from an (n, columns, ``_WIDTH``) array
+    of :func:`_text` rows; its pad bytes take the separators."""
+    cells[:, :-1, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells[cells != 0].tobytes().decode("ascii")
 
 
 def _csv(header: str, *columns) -> Iterator[str]:
     """One row per index of the equal-length ``columns``, each value as
     ``%.17g`` of its double (the bytes of ``format(float(v), ".17g")``,
     round-trip exact).  The columns are stacked now; the rows are formatted
-    as they are consumed, with one % per block of rows."""
+    as they are consumed, a block of ``_CSV_BLOCK`` values at a time."""
     table = np.column_stack(columns).astype(float)
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    blocks = (table[start:start + _CSV_BLOCK] for start in range(0, len(table), _CSV_BLOCK))
+    step = max(1, _CSV_BLOCK // len(columns))
+    blocks = (table[start:start + step] for start in range(0, len(table), step))
     return chain([header + "\n"],
-                 (line * len(block) % tuple(block.ravel().tolist()) for block in blocks))
+                 (_rows(_text(block).reshape(len(block), -1, _WIDTH)) for block in blocks))
 
 
 def _json(payload: dict) -> list[str]:
@@ -249,12 +389,19 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
                        "the grid is too coarse to resolve the state; raise --resolution")
     masses = catlab.count_components(grid, args.threshold)
     label = tau_label(args.tau)
-    # the coordinates are formatted once; each grid row is one % of a
-    # template that holds them, head + tail_0 + head + tail_1 + ...
-    heads = ["%.17g," % x for x in grid.res.tolist()]
-    tails = ["%.17g,%%.17g\n" % y for y in grid.ims.tolist()]
-    rows = ((head + head.join(tails)) % tuple(row.tolist())
-            for head, row in zip(heads, grid.values))
+    # the coordinates are formatted once and broadcast over whole grid rows
+    # (re) and columns (im); only Q is formatted per point
+    res, ims = _text(grid.res), _text(grid.ims)
+    step = max(1, _CSV_BLOCK // grid.ny)  # grid rows per block
+
+    def block(i: int) -> str:
+        q = grid.values[i:i + step]
+        cells = np.empty((*q.shape, 3, _WIDTH), dtype=np.uint8)
+        cells[:, :, 0] = res[i:i + step, None]
+        cells[:, :, 1] = ims
+        cells[:, :, 2] = _text(q).reshape(*q.shape, _WIDTH)
+        return _rows(cells.reshape(q.size, 3, _WIDTH))
+
     sidecar = _json({
         "tau": tau,
         "window": list(window),
@@ -265,7 +412,7 @@ def cmd_qfunc(cfg: RunConfig, args) -> Files:
         "component_count": len(masses),
         "component_masses": list(masses),
     })
-    return [(f"qfunc_{label}.csv", chain(["re,im,q\n"], rows)),
+    return [(f"qfunc_{label}.csv", chain(["re,im,q\n"], map(block, range(0, grid.nx, step)))),
             (f"qfunc_{label}.json", sidecar)]
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import jcm4
 from jcm4 import catlab, dynamics, fock, observables
-from jcm4.cli import _CSV_BLOCK, _csv, _json, main, parse_tau, tau_label
+from jcm4.cli import (_CSV_BLOCK, _csv, _format_tables, _json, _resolve_config, _rows, _text,
+                      build_parser, cmd_qfunc, main, parse_tau, tau_label)
 from jcm4.dynamics import Time
 from jcm4.errors import JcmError
 
@@ -546,12 +548,18 @@ class TestErrorPaths:
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+BLOCK = _CSV_BLOCK // 3  # rows of the three-column CSV below formatted at a time
+
+
 class TestCsvWriter:
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(FINITE, min_size=1, max_size=40),
-           rows=st.sampled_from([1, 2, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]))
+           rows=st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1]))
     @example(values=[-0.0, 0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308,
-                     1.7976931348623157e308, 0.1, 1e16, 123456789.0], rows=_CSV_BLOCK + 1)
+                     1.7976931348623157e308, 0.1, 1e16, 123456789.0], rows=BLOCK + 1)
+    # an exact tie, half to even at the 17th digit, and the neighbours of 1e23
+    @example(values=[1000000000000000.25, -1000000000000000.75, math.nextafter(1e23, 0.0),
+                     math.nextafter(1e23, math.inf)], rows=BLOCK)
     def test_rows_are_seventeen_digit_values(self, values, rows):
         # an integer index column and two float columns built from the values
         columns = (np.arange(rows), np.resize(values, rows),
@@ -559,6 +567,83 @@ class TestCsvWriter:
         expected = "n,a,b\n" + "".join(
             ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*columns))
         assert "".join(_csv("n,a,b", *columns)) == expected
+
+
+QFUNC_ARGV = ["qfunc", "--tau", "pi/4+pi/800", "--alpha-phase", "0.3"]  # nbar 50, 241 x 241
+
+
+def near_ties() -> list[float]:
+    """Doubles v = M 2^-(t+k) whose y = v 10^k = M 5^k / 2^t, in [1e16, 1e17),
+    lies within 63 2^-t of a half-integer and off it: M 5^k = 2^(t-1) + c
+    (mod 2^t), 0 < |c| < 64.  With t >= 54 bits after the point, y's
+    fraction does not fit the double the formatter holds it in, which may
+    round it onto the half; only the tie fallback formats such values right."""
+    ties = []
+    for k in range(23, 46):
+        for t in range(54, 64):
+            inverse = pow(5 ** k, -1, 2 ** t)
+            for c in (*range(1, 64), *range(-63, 0)):
+                m = (2 ** (t - 1) + c) * inverse % 2 ** t
+                if 2 ** 52 <= m < 2 ** 53 and 10 ** 16 * 2 ** t <= m * 5 ** k < 10 ** 17 * 2 ** t:
+                    ties.append(math.ldexp(m, -t - k))
+    return ties
+
+
+class TestTextFormatter:
+    """``_text``, the writer's ``%.17g`` in numpy, against Python's ``%``."""
+
+    @staticmethod
+    def inputs() -> np.ndarray:
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        # exact ties at the 17th digit: m/4 in [1e15, 2.25e15) ends in .25 or
+        # .75, m/8 in [1e14, 1e15) in .125, .375, .625 or .875
+        quarters = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, size=20_000) + 1) / 4
+        eighths = (2 * rng.integers(4 * 10 ** 14, 4 * 10 ** 15, size=20_000) + 1) / 8
+        positive = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.arange(100_001.0), quarters, eighths, near_ties(),
+            np.ldexp(rng.random(1000), rng.integers(-1074, -1022, size=1000)),  # subnormals
+            [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ])
+        args = build_parser().parse_args(QFUNC_ARGV)
+        field = dynamics.field_rank2(dynamics.evolve(_resolve_config(args).params(),
+                                                     parse_tau(args.tau)))
+        q = observables.q_grid(field, (-12.0, 12.0, -12.0, 12.0), 241, 241).values.ravel()
+        return np.concatenate([bits[np.isfinite(bits)], positive, -positive, q])
+
+    def test_bytes_equal_percent(self):
+        values = self.inputs()
+        got = "".join(_csv("v", values))
+        expected = "v\n" + "%.17g\n" * len(values) % tuple(values.tolist())
+        wrong = [] if got == expected else [
+            (v, g, e) for v, g, e in zip(values.tolist(), got.split("\n")[1:],
+                                         expected.split("\n")[1:]) if g != e]
+        assert got == expected, wrong[:5]
+
+    def test_non_finite_values_format_as_percent(self):
+        values = np.array([math.nan, math.inf, -math.inf, 1.5])
+        assert _rows(_text(values)[:, None]) == "nan\ninf\n-inf\n1.5\n"
+
+    def test_qfunc_csv_peak_stays_below_q_grid(self):
+        args = build_parser().parse_args(QFUNC_ARGV)
+        cfg = _resolve_config(args)
+        field = dynamics.field_rank2(dynamics.evolve(cfg.params(), parse_tau(args.tau)))
+        (_, chunks), _ = cmd_qfunc(cfg, args)  # the grid is built, its rows are not
+        _format_tables()  # built once per process, not per CSV
+        tracemalloc.start()
+        try:
+            rows = sum(chunk.count("\n") for chunk in chunks)
+            writer = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            observables.q_grid(field, (-12.0, 12.0, -12.0, 12.0), 241, 241)
+            grid = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows == 241 * 241 + 1
+        assert writer < grid, (writer, grid)
 
 
 def test_reused_parser_matches_a_fresh_run(tmp_path, capsys):

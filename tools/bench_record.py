@@ -10,10 +10,11 @@ the checkout holding this script).  For every workload of
 benchmark's ``run_seconds`` and the side that goes first alternating from
 one seed to the next.  The record holds, per side and workload, the median
 and quartiles of each end-to-end metric over the seeds and every run's
-metrics, operation counts and ``raw:`` lines (standard error); per workload
-and metric, the number of seeds on which the change is better than the
-parent; each side's commit; and the machine: usable CPUs, CPU model, and
-the Python and numpy versions.  It is written to the change checkout.
+metrics, operation counts, wall seconds and ``raw:`` lines (standard
+error); per workload and metric, the number of seeds on which the change
+is better than the parent; each side's commit and total wall seconds; and
+the machine: usable CPUs, CPU model, and the Python and numpy versions.
+It is written to the change checkout.
 
 Every run has ``PYTHONDONTWRITEBYTECODE=1``, so each process compiles the
 package afresh.  A checkout that holds a ``__pycache__`` under ``src/`` is
@@ -30,6 +31,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +59,12 @@ def commit(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    start = time.perf_counter()
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True,
                           env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    wall_s = time.perf_counter() - start
     if done.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} failed:\n{done.stderr}")
     result = json.loads(done.stdout.splitlines()[-1])
@@ -68,6 +72,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "seed": seed,
         "correct": result["correct"],
         "attempted": result["attempted"],
+        "wall_s": wall_s,
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "raw": [line for line in done.stderr.splitlines() if line.startswith("raw:")],
@@ -118,6 +123,7 @@ def main(argv=None) -> int:
         "sides": {
             side: {
                 "commit": commit(path),
+                "wall_s": sum(r["wall_s"] for w in runs[side].values() for r in w),
                 "medians": {
                     workload: {m["name"]: statistics.median(values(side, workload, m["name"]))
                                for m in metrics}
